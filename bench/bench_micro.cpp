@@ -1,15 +1,19 @@
 // Component microbenchmarks (google-benchmark): the hot paths whose cost
 // assumptions the simulation rests on — Almanac front-end, the seed VM,
-// filter matching, TCAM lookup, the DES engine, and the simplex solver.
+// filter matching, TCAM lookup, the soil's poll path, the DES engine, and
+// the simplex solver. The /N benches sweep seeds (rules) per switch: their
+// per-iteration time should stay flat in N.
 #include <benchmark/benchmark.h>
 
 #include "almanac/interp.h"
 #include "almanac/parser.h"
+#include "asic/switch.h"
 #include "asic/tcam.h"
 #include "bench_json.h"
 #include "farm/scarecrow.h"
 #include "farm/usecases.h"
 #include "lp/simplex.h"
+#include "runtime/soil.h"
 #include "sim/engine.h"
 #include "telemetry/alert.h"
 #include "telemetry/hub.h"
@@ -100,6 +104,72 @@ void BM_TcamLookup256Rules(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(tcam.match(h));
 }
 BENCHMARK(BM_TcamLookup256Rules);
+
+// The address a density bench's i-th seed or rule watches.
+std::string density_addr(int i) {
+  return "10.50." + std::to_string(i / 250) + "." + std::to_string(i % 250 + 1);
+}
+
+void BM_TcamFindPattern(benchmark::State& state) {
+  // Poll-subject lookup among N single-address monitoring rules, probed with
+  // equal but separately built filters (as a seed's poll subject is).
+  const int n = static_cast<int>(state.range(0));
+  asic::Tcam tcam(2 * n, n);
+  std::vector<net::Filter> probes;
+  for (int i = 0; i < n; ++i) {
+    const auto prefix = *net::Prefix::parse(density_addr(i) + "/32");
+    asic::TcamRule r;
+    r.pattern = net::Filter::dst_ip(prefix);
+    tcam.add_rule(r);
+    probes.push_back(net::Filter::dst_ip(prefix));
+    benchmark::DoNotOptimize(probes.back().canonical_key());
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tcam.find(probes[i], asic::TcamRegion::kMonitoring));
+    if (++i == probes.size()) i = 0;
+  }
+}
+BENCHMARK(BM_TcamFindPattern)->Arg(100)->Arg(200)->Arg(400);
+
+void BM_SoilPollGroupFire(benchmark::State& state) {
+  // N FlowMon-shaped seeds on one switch, each polling its own address
+  // every 100 ms (one poll group each; slow enough that 400 groups keep the
+  // modelled PCIe channel under 15% busy, so no queue builds). Seeds deploy
+  // period/N apart, so one iteration — period/N of virtual time — is one
+  // group firing: the PCIe transfer, the TCAM counter read and the handler
+  // delivery.
+  constexpr const char* kSource = R"(
+    machine FlowMon {
+      place all;
+      external string watched = "10.0.1.1";
+      poll flowStats = Poll { .ival = 0.1, .what = dstIP watched };
+      long last = 0;
+      state watch {
+        when (flowStats as s) do { last = stats_bytes(s, 0); }
+      }
+    }
+  )";
+  const int n = static_cast<int>(state.range(0));
+  sim::Engine engine;
+  asic::SwitchConfig cfg;
+  cfg.tcam_monitoring_reserved = std::max(cfg.tcam_monitoring_reserved, n);
+  asic::SwitchChassis chassis(engine, 0, "leaf", cfg, 0);
+  runtime::Soil soil(engine, chassis, {});
+  auto image = runtime::MachineImage::from_source(kSource, "FlowMon");
+  const sim::Duration period = sim::Duration::ms(100);
+  const sim::Duration step = period / n;
+  for (int i = 0; i < n; ++i) {
+    soil.deploy({"fm" + std::to_string(i), "FlowMon", 0}, image,
+                {{"watched", almanac::Value(density_addr(i))}});
+    engine.run_for(step);
+  }
+  engine.run_for(period);  // every group has fired and installed its rule
+  for (auto _ : state) engine.run_for(step);
+  benchmark::DoNotOptimize(soil.poll_deliveries());
+}
+BENCHMARK(BM_SoilPollGroupFire)->Arg(100)->Arg(200)->Arg(400);
 
 void BM_EngineEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# verify-all: configure + build + test the eleven supported configurations
+# verify-all: configure + build + test the twelve supported configurations
 # in sequence — default (RelWithDebInfo), Sickle lint over the corpus and
 # example seeds, the DiSketch accuracy goldens (`accuracy` label), the
 # Silo sharded-store suite at FARM_THREADS=16 (`silo` label — exercises
 # the multi-shard defaults and parallel query folds this host's core count
 # may not), the incremental-placement suite (`incremental` label), the
 # Furrow profiler suite (`profile` label), the Winnow abstract-interpreter
-# and optimizer suite (`winnow` label), ASan+UBSan, a UBSan-only build
+# and optimizer suite (`winnow` label), the data-plane suite (`dataplane`
+# label: filters, the indexed TCAM against its linear model, soil poll
+# groups and seed lookups), ASan+UBSan, a UBSan-only build
 # over the lint+winnow labels (the interpreter and abstract-interpreter
 # arithmetic edge cases are exactly where UB hides), telemetry compiled
 # out, and TSan over the Combine-labelled concurrency tests (the worker
@@ -27,7 +29,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-workflows=(verify-default verify-lint verify-accuracy verify-silo verify-incremental verify-profile verify-winnow verify-asan verify-ubsan verify-telemetry-off verify-tsan)
+workflows=(verify-default verify-lint verify-accuracy verify-silo verify-incremental verify-profile verify-winnow verify-dataplane verify-asan verify-ubsan verify-telemetry-off verify-tsan)
 failed=()
 
 for wf in "${workflows[@]}"; do

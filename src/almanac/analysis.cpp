@@ -546,26 +546,6 @@ std::vector<SketchAnalysis> analyze_sketches(const CompiledMachine& machine,
 
 namespace {
 
-// Extracts src/dst prefixes from a path-filter for the φ_path query.
-void extract_prefixes(const net::Filter& f, net::Prefix& src,
-                      net::Prefix& dst) {
-  src = net::Prefix::any();
-  dst = net::Prefix::any();
-  // Scan the canonical key's atoms via polling subjects — simpler: walk the
-  // DNF through the public API by probing membership. We instead re-parse
-  // the canonical textual form, which lists atoms verbatim.
-  std::string key = f.canonical_key();
-  auto grab = [&key](const std::string& tag) -> std::optional<net::Prefix> {
-    auto pos = key.find(tag);
-    if (pos == std::string::npos) return std::nullopt;
-    pos += tag.size();
-    auto end = key.find_first_of("&|", pos);
-    return net::Prefix::parse(key.substr(pos, end - pos));
-  };
-  if (auto p = grab("srcIP ")) src = *p;
-  if (auto p = grab("dstIP ")) dst = *p;
-}
-
 bool range_ok(BinOp op, int dist, std::int64_t bound) {
   switch (op) {
     case BinOp::kEq:
@@ -650,7 +630,9 @@ std::vector<ResolvedSeed> resolve_places(const CompiledMachine& machine,
           if (!f.is_filter())
             throw CompileError("place: path expression must be a filter",
                                pl->loc);
-          extract_prefixes(f.as_filter(), src, dst);
+          // Only what the filter provably confines narrows the paths.
+          src = f.as_filter().prefix_constraint(net::FilterField::kSrcIp);
+          dst = f.as_filter().prefix_constraint(net::FilterField::kDstIp);
         }
         Value bound_v = interp.eval(*pl->range_value, machine_env);
         std::int64_t bound = bound_v.as_int();

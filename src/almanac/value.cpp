@@ -102,8 +102,7 @@ bool Value::equals(const Value& o) const {
       if (!a[i].equals(b[i])) return false;
     return true;
   }
-  if (is_filter())
-    return as_filter().canonical_key() == o.as_filter().canonical_key();
+  if (is_filter()) return as_filter() == o.as_filter();
   if (is_rule()) return as_rule().id == o.as_rule().id;
   return v_ == o.v_;
 }

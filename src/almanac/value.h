@@ -38,8 +38,7 @@ struct TriggerSpec {
   double ival_seconds = 0;
   net::Filter what;
   bool operator==(const TriggerSpec& o) const {
-    return ival_seconds == o.ival_seconds &&
-           what.canonical_key() == o.what.canonical_key();
+    return ival_seconds == o.ival_seconds && what == o.what;
   }
 };
 

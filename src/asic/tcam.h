@@ -6,9 +6,11 @@
 // the polling subjects seeds read over the PCIe bus.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/filter.h"
@@ -76,22 +78,38 @@ class Tcam {
   std::vector<TcamRule*> matching(const net::PacketHeader& h,
                                   int at_iface = -1);
   const TcamRule* find(RuleId id) const;
+  // The oldest rule in `region` whose pattern equals `pattern`.
   const TcamRule* find(const net::Filter& pattern, TcamRegion region) const;
+  // Ids of every rule in `region` whose pattern equals `pattern`, oldest
+  // first. Valid until the next add or remove.
+  const std::vector<RuleId>& rule_ids(const net::Filter& pattern,
+                                      TcamRegion region) const;
 
   // Wipes every rule in both regions (switch power failure). Rule ids keep
   // increasing across reboots so stale ids can never alias new rules.
   void clear();
 
+  // Installation order, which is also ascending id order.
   const std::vector<TcamRule>& rules() const { return rules_; }
   int used(TcamRegion region) const;
   int free_space(TcamRegion region) const;
   int capacity(TcamRegion region) const;
 
  private:
+  static std::size_t slot(TcamRegion region) {
+    return static_cast<std::size_t>(region);
+  }
+  // Position of rule `id` in rules_ (binary search: ids ascend), or end.
+  std::vector<TcamRule>::const_iterator locate(RuleId id) const;
+
   int capacity_total_;
   int monitoring_reserved_;
   RuleId next_id_ = 1;
   std::vector<TcamRule> rules_;
+  // Per region: canonical pattern key → ids of its rules, ascending.
+  std::array<std::unordered_map<std::string, std::vector<RuleId>>, 2>
+      by_key_;
+  std::array<int, 2> used_{};
 };
 
 }  // namespace farm::asic

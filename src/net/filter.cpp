@@ -199,14 +199,31 @@ std::vector<Filter::Conjunct> Filter::to_dnf() const {
   return dnf;
 }
 
-std::string Filter::canonical_key() const {
-  std::string s;
-  for (const auto& c : to_dnf()) {
-    for (const auto& l : c) s += l.to_string() + "&";
-    s += "|";
-  }
-  return s;
+const Filter::Derived& Filter::derived() const {
+  std::call_once(node_->derived_once, [this] {
+    Derived& d = node_->derived;
+    for (const auto& c : to_dnf()) {
+      for (const auto& l : c) {
+        d.key += l.to_string() + "&";
+        if (l.atom.field != FilterField::kIfacePort) continue;
+        if (l.atom.iface < 0)
+          d.footprint = kAllIfaces;
+        else if (d.footprint != kAllIfaces)
+          ++d.footprint;
+        if (l.atom.iface >= 0 && !l.negated)
+          d.iface_atoms.push_back(l.atom.iface);
+      }
+      d.key += "|";
+    }
+    std::sort(d.iface_atoms.begin(), d.iface_atoms.end());
+    d.iface_atoms.erase(
+        std::unique(d.iface_atoms.begin(), d.iface_atoms.end()),
+        d.iface_atoms.end());
+  });
+  return node_->derived;
 }
+
+const std::string& Filter::canonical_key() const { return derived().key; }
 
 std::vector<std::string> Filter::polling_subjects() const {
   std::vector<std::string> out;
@@ -220,27 +237,19 @@ std::vector<std::string> Filter::polling_subjects() const {
   return out;
 }
 
-int Filter::iface_footprint() const {
-  int count = 0;
-  for (const auto& c : to_dnf())
-    for (const auto& l : c)
-      if (l.atom.field == FilterField::kIfacePort) {
-        if (l.atom.iface < 0) return kAllIfaces;
-        ++count;
-      }
-  return count;
+int Filter::iface_footprint() const { return derived().footprint; }
+
+const std::vector<std::int32_t>& Filter::iface_atoms() const {
+  return derived().iface_atoms;
 }
 
-std::vector<std::int32_t> Filter::iface_atoms() const {
-  std::vector<std::int32_t> out;
-  for (const auto& c : to_dnf())
-    for (const auto& l : c)
-      if (l.atom.field == FilterField::kIfacePort && l.atom.iface >= 0 &&
-          !l.negated)
-        out.push_back(l.atom.iface);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+Prefix Filter::prefix_constraint(FilterField field) const {
+  FARM_CHECK(field == FilterField::kSrcIp || field == FilterField::kDstIp);
+  auto dnf = to_dnf();
+  if (dnf.size() != 1) return Prefix::any();
+  for (const auto& l : dnf.front())
+    if (l.atom.field == field && !l.negated) return l.atom.prefix;
+  return Prefix::any();
 }
 
 std::string Filter::to_string() const {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,9 @@ class Filter {
 
   // Canonical textual form (stable across equal filters after DNF
   // normalization); used as the aggregation key for polling subjects.
-  std::string canonical_key() const;
+  // Computed once per expression node, on first use (safe under concurrent
+  // readers); copies of a Filter share the node and its key.
+  const std::string& canonical_key() const;
 
   // φ_enc: the DNF conjuncts of this filter. Each conjunct corresponds to
   // one (set of) counter(s) the soil must poll; two poll variables share a
@@ -87,19 +90,33 @@ class Filter {
   int iface_footprint() const;
   // The concrete (non-negative, deduplicated) interface indices referenced;
   // empty when the filter has no interface atoms or only wildcards.
-  std::vector<std::int32_t> iface_atoms() const;
+  const std::vector<std::int32_t>& iface_atoms() const;
+
+  // The prefix the filter confines `field` (kSrcIp or kDstIp) to: the
+  // positive atom on that field when the DNF is a single conjunct (the
+  // first in canonical order if there are several), else Prefix::any().
+  // Negated atoms and disjunctions never narrow.
+  Prefix prefix_constraint(FilterField field) const;
 
   std::string to_string() const;
   friend bool operator==(const Filter& a, const Filter& b) {
-    return a.canonical_key() == b.canonical_key();
+    return a.node_ == b.node_ || a.canonical_key() == b.canonical_key();
   }
 
  private:
   enum class Op : std::uint8_t { kAtom, kAnd, kOr, kNot };
+  // Facts derived from a node's DNF, filled in once by derived().
+  struct Derived {
+    std::string key;
+    int footprint = 0;
+    std::vector<std::int32_t> iface_atoms;
+  };
   struct Node {
-    Op op;
+    Op op = Op::kAtom;
     FilterAtom atom;  // kAtom only
     std::shared_ptr<const Node> lhs, rhs;
+    mutable std::once_flag derived_once;
+    mutable Derived derived;
   };
   explicit Filter(std::shared_ptr<const Node> n) : node_(std::move(n)) {}
 
@@ -113,6 +130,7 @@ class Filter {
   using Conjunct = std::vector<Literal>;
   std::vector<Conjunct> to_dnf() const;
   static std::vector<Conjunct> dnf_of(const Node* n, bool negated);
+  const Derived& derived() const;
 
   std::shared_ptr<const Node> node_;
 };

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "almanac/interp.h"
 #include "runtime/machine_image.h"
+#include "sim/cpu.h"
 #include "telemetry/hub.h"
 #include "util/time.h"
 
@@ -41,6 +43,16 @@ struct SeedId {
     return task + "/" + machine + "#" + std::to_string(index);
   }
   friend bool operator==(const SeedId&, const SeedId&) = default;
+};
+
+struct SeedIdHash {
+  std::size_t operator()(const SeedId& id) const noexcept {
+    std::size_t h = std::hash<std::string>{}(id.task);
+    h ^= std::hash<std::string>{}(id.machine) + 0x9e3779b97f4a7c15ull +
+         (h << 6) + (h >> 2);
+    return h ^ (std::hash<int>{}(id.index) + 0x9e3779b97f4a7c15ull +
+                (h << 6) + (h >> 2));
+  }
 };
 
 // Serializable seed state for migration: the machine env bindings and the
@@ -124,6 +136,8 @@ class Seed : public almanac::SeedHost {
   SeedId id_;
   std::shared_ptr<MachineImage> image_;
   Soil& soil_;
+  // The soil's CPU identity for this seed, set once by Soil::deploy.
+  sim::TaskId cpu_task_ = 0;
   // Granary: fleet-wide seed activity (shared counters — seeds are too
   // numerous for per-instance metric names).
   telemetry::Hub* tel_ = nullptr;

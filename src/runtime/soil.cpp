@@ -62,6 +62,7 @@ void Soil::crash() {
   }
   regs_.clear();
   groups_.clear();  // periodic group tasks stop in their destructors
+  by_id_.clear();
   seeds_.clear();
   allocations_.clear();
 }
@@ -74,7 +75,9 @@ Seed* Soil::deploy(SeedId id, std::shared_ptr<MachineImage> image,
   auto seed = std::make_unique<Seed>(std::move(id), std::move(image), *this,
                                      std::move(externals));
   Seed* raw = seed.get();
+  raw->cpu_task_ = std::hash<std::string>{}(raw->id().to_string()) | 0x8000;
   seeds_.push_back(std::move(seed));
+  by_id_.emplace(raw->id(), raw);
   allocations_[raw->id().to_string()] =
       allocation.value_or(config_.default_alloc);
   if (snapshot)
@@ -86,21 +89,19 @@ Seed* Soil::deploy(SeedId id, std::shared_ptr<MachineImage> image,
 }
 
 bool Soil::undeploy(const SeedId& id) {
-  auto it = std::find_if(seeds_.begin(), seeds_.end(), [&](const auto& s) {
-    return s->id() == id;
-  });
-  if (it == seeds_.end()) return false;
-  (*it)->stop();
-  clear_registrations(**it, /*drop_orphaned_poll_rules=*/true);
+  Seed* seed = find(id);
+  if (!seed) return false;
+  seed->stop();
+  clear_registrations(*seed, /*drop_orphaned_poll_rules=*/true);
   allocations_.erase(id.to_string());
-  seeds_.erase(it);
+  by_id_.erase(id);
+  std::erase_if(seeds_, [seed](const auto& s) { return s.get() == seed; });
   return true;
 }
 
 Seed* Soil::find(const SeedId& id) {
-  for (auto& s : seeds_)
-    if (s->id() == id) return s.get();
-  return nullptr;
+  auto it = by_id_.find(id);
+  return it == by_id_.end() ? nullptr : it->second;
 }
 
 std::vector<Seed*> Soil::seeds() {
@@ -167,7 +168,7 @@ sim::Duration Soil::comm_latency() const {
 }
 
 sim::TaskId Soil::cpu_task_of(const Seed& seed) const {
-  return std::hash<std::string>{}(seed.id().to_string()) | 0x8000;
+  return seed.cpu_task_;
 }
 
 void Soil::seed_send(Seed& seed, const Value& payload,
@@ -240,9 +241,9 @@ void Soil::clear_registrations(Seed& seed, bool drop_orphaned_poll_rules) {
       chassis_.remove_sampler(reg->sampler);
       reg->sampler = 0;
     }
-    if (reg->type == almanac::TriggerType::kPoll &&
-        reg->what.iface_footprint() == 0)
-      flow_subjects.push_back(reg->what);
+    if (reg->type != almanac::TriggerType::kPoll) continue;
+    std::erase(groups_.at(reg->subject_key).members, reg.get());
+    if (reg->what.iface_footprint() == 0) flow_subjects.push_back(reg->what);
   }
   std::erase_if(regs_, [&](const auto& reg) { return reg->seed == &seed; });
   // Remove "soil-poll" count rules nobody polls anymore — undeploy churn
@@ -251,17 +252,13 @@ void Soil::clear_registrations(Seed& seed, bool drop_orphaned_poll_rules) {
   // a seed re-entering a polling state expects its counts to have kept
   // accumulating (e.g. the hierarchical-HH drill loop).
   if (!drop_orphaned_poll_rules) return;
+  asic::Tcam& tcam = chassis_.tcam();
   for (const net::Filter& what : flow_subjects) {
-    const std::string key = what.canonical_key();
-    bool still_used = false;
-    for (const auto& reg : regs_)
-      if (reg->type == almanac::TriggerType::kPoll && reg->subject_key == key)
-        still_used = true;
-    if (still_used) continue;
-    const asic::TcamRule* rule =
-        chassis_.tcam().find(what, asic::TcamRegion::kMonitoring);
-    if (rule && rule->note == "soil-poll")
-      chassis_.tcam().remove_rules(what, asic::TcamRegion::kMonitoring);
+    if (!groups_.at(what.canonical_key()).members.empty()) continue;
+    std::vector<asic::RuleId> orphans;
+    for (asic::RuleId id : tcam.rule_ids(what, asic::TcamRegion::kMonitoring))
+      if (tcam.find(id)->note == "soil-poll") orphans.push_back(id);
+    for (asic::RuleId id : orphans) tcam.remove_rule(id);
   }
   publish_tcam_occupancy();
 }
@@ -279,26 +276,22 @@ void Soil::refresh_triggers(Seed& seed) {
                                              reg->ival_seconds);
     if (!inserted) it->second = std::min(it->second, reg->ival_seconds);
   }
-  for (auto it = groups_.begin(); it != groups_.end();) {
-    if (!wanted.count(it->first)) {
-      it = groups_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Drop the groups nobody polls any more: with aggregation on, exactly
+  // the keys missing from `wanted`; with it off, no group has a task.
+  std::erase_if(groups_,
+                [](const auto& g) { return g.second.members.empty(); });
   for (const auto& [key, period] : wanted) {
-    auto it = groups_.find(key);
-    if (it == groups_.end()) {
-      PollGroup g;
+    PollGroup& g = groups_.at(key);
+    if (!g.task) {
       g.period_seconds = period;
+      // Map nodes are stable, and the task dies with its group.
       g.task = std::make_unique<sim::PeriodicTask>(
           engine_, sim::Duration::from_seconds(period),
-          [this, key = key] { fire_poll_group(key); });
+          [this, &g] { fire_poll_group(g); });
       g.task->start();
-      groups_.emplace(key, std::move(g));
-    } else if (it->second.period_seconds != period) {
-      it->second.period_seconds = period;
-      it->second.task->set_period(sim::Duration::from_seconds(period));
+    } else if (g.period_seconds != period) {
+      g.period_seconds = period;
+      g.task->set_period(sim::Duration::from_seconds(period));
     }
   }
 }
@@ -315,6 +308,8 @@ void Soil::register_trigger(Seed& seed, const Seed::ActiveTrigger& trig) {
       engine_.now() + sim::Duration::from_seconds(trig.spec.ival_seconds);
   Registration* raw = reg.get();
   regs_.push_back(std::move(reg));
+  if (raw->type == almanac::TriggerType::kPoll)
+    groups_[raw->subject_key].members.push_back(raw);
 
   switch (trig.type) {
     case almanac::TriggerType::kTime:
@@ -442,17 +437,10 @@ void Soil::pcie_poll_request(int entries, std::function<void()> on_complete,
       });
 }
 
-void Soil::fire_poll_group(const std::string& subject_key) {
-  // Members of this group.
-  std::vector<Registration*> members;
-  net::Filter what;
-  for (auto& reg : regs_)
-    if (reg->type == almanac::TriggerType::kPoll &&
-        reg->subject_key == subject_key) {
-      members.push_back(reg.get());
-      what = reg->what;
-    }
+void Soil::fire_poll_group(const PollGroup& group) {
+  const std::vector<Registration*>& members = group.members;
   if (members.empty()) return;
+  const net::Filter what = members.back()->what;
 
   // Which members are due by now (group fires at min period)?
   std::vector<std::pair<SeedId, std::string>> due_targets;

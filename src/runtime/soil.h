@@ -156,7 +156,8 @@ class Soil {
   std::vector<almanac::StatEntry> resolve_subject(const net::Filter& what);
   int subject_entry_count(const net::Filter& what);
   void schedule_poll(Registration& reg);
-  void fire_poll_group(const std::string& subject_key);
+  struct PollGroup;
+  void fire_poll_group(const PollGroup& group);
   void deliver_poll(Registration& reg, const StatsValue& stats,
                     sim::TimePoint due);
   void deliver_poll_to(const SeedId& id, const std::string& var,
@@ -181,12 +182,18 @@ class Soil {
   SoilNetwork* network_;
   std::function<sim::Duration(const std::string&)> exec_cost_;
 
+  // Deployed seeds in deployment order, and the same seeds by id.
   std::vector<std::unique_ptr<Seed>> seeds_;
+  std::unordered_map<SeedId, Seed*, SeedIdHash> by_id_;
   std::unordered_map<std::string, ResourcesValue> allocations_;  // by SeedId string
   // Registrations keyed by owning seed (raw pointer identity).
   std::vector<std::unique_ptr<Registration>> regs_;
-  // Aggregated poll groups: subject key → periodic task.
+  // Poll registrations by subject key, each group's members in regs_
+  // order. With aggregation on, the group also owns the periodic task that
+  // serves its members; a group outlives its last member until the next
+  // refresh_triggers, as its task does.
   struct PollGroup {
+    std::vector<Registration*> members;
     std::unique_ptr<sim::PeriodicTask> task;
     double period_seconds = 0;
   };

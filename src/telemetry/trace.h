@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -67,7 +68,9 @@ class Tracer {
  private:
   struct Track {
     std::string name;
-    std::vector<Span> open;          // begun, not yet ended
+    // Begun, not yet ended, in begin order. Spans mostly end oldest first
+    // (a FIFO channel completes in order), so a deque makes that O(1).
+    std::deque<Span> open;
     std::vector<Span> done;          // ring buffer
     std::size_t head = 0;            // oldest slot in `done` once full
     std::uint64_t completed = 0;     // lifetime count incl. evicted

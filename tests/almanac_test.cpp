@@ -910,6 +910,59 @@ TEST(PlaceResolutionTest, ReceiverRangeSelectsEgressLeaf) {
             (std::vector<net::NodeId>{fx.sl.leaf_switches[1]}));
 }
 
+// Senders one hop from the sender end of every path the filter admits:
+// the set of leaves those seeds sit on.
+std::vector<net::NodeId> sender_leaves(const PlaceFixture& fx,
+                                       const std::string& filter) {
+  auto c = compile("machine M { place all sender " + filter +
+                       " range == 1; state s { } }",
+                   "M");
+  Env env;
+  std::vector<net::NodeId> leaves;
+  for (const auto& s : resolve_places(c.machine, env, fx.ctl)) {
+    EXPECT_EQ(s.candidates.size(), 1u);
+    leaves.push_back(s.candidates[0]);
+  }
+  std::sort(leaves.begin(), leaves.end());
+  return leaves;
+}
+
+TEST(PlaceResolutionTest, NegatedPrefixDoesNotNarrowPaths) {
+  PlaceFixture fx;
+  auto a = *fx.sl.topo.node(fx.sl.hosts_by_leaf[0][0]).address;
+  auto b = *fx.sl.topo.node(fx.sl.hosts_by_leaf[1][0]).address;
+  // Traffic to b from anywhere but a: senders sit behind both leaves.
+  auto leaves = sender_leaves(fx, "not srcIP \"" + a.to_string() +
+                                      "\" and dstIP \"" + b.to_string() +
+                                      "\"");
+  auto both = std::vector<net::NodeId>{fx.sl.leaf_switches[0],
+                                       fx.sl.leaf_switches[1]};
+  std::sort(both.begin(), both.end());
+  EXPECT_EQ(leaves, both);
+}
+
+TEST(PlaceResolutionTest, DisjunctionCoversEveryConjunct) {
+  PlaceFixture fx;
+  auto a = *fx.sl.topo.node(fx.sl.hosts_by_leaf[0][0]).address;
+  auto d = *fx.sl.topo.node(fx.sl.hosts_by_leaf[1][1]).address;
+  // Senders a (leaf 0) or d (leaf 1): both leaves, not just the first
+  // conjunct's.
+  auto leaves = sender_leaves(fx, "srcIP \"" + a.to_string() +
+                                      "\" or srcIP \"" + d.to_string() +
+                                      "\"");
+  auto both = std::vector<net::NodeId>{fx.sl.leaf_switches[0],
+                                       fx.sl.leaf_switches[1]};
+  std::sort(both.begin(), both.end());
+  EXPECT_EQ(leaves, both);
+}
+
+TEST(PlaceResolutionTest, PositivePrefixStillNarrowsPaths) {
+  PlaceFixture fx;
+  auto a = *fx.sl.topo.node(fx.sl.hosts_by_leaf[0][0]).address;
+  auto leaves = sender_leaves(fx, "srcIP \"" + a.to_string() + "\"");
+  EXPECT_EQ(leaves, (std::vector<net::NodeId>{fx.sl.leaf_switches[0]}));
+}
+
 TEST(PlaceResolutionTest, ExternalVariableInPlacement) {
   PlaceFixture fx;
   auto c = compile("machine M { place any target; external long target = 0; state s { } }",

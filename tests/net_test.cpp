@@ -154,6 +154,54 @@ TEST(FilterTest, IfaceFootprint) {
   EXPECT_EQ(Filter::l4_port(80).iface_footprint(), 0);
 }
 
+TEST(FilterTest, CanonicalKeyIsSharedByCopies) {
+  auto f = Filter::conj(Filter::dst_ip(*Prefix::parse("10.1.0.0/16")),
+                        Filter::l4_port(80));
+  Filter copy = f;
+  EXPECT_EQ(&f.canonical_key(), &copy.canonical_key());
+  // An equal filter built separately has its own, equal key.
+  auto g = Filter::conj(Filter::l4_port(80),
+                        Filter::dst_ip(*Prefix::parse("10.1.0.0/16")));
+  EXPECT_NE(&f.canonical_key(), &g.canonical_key());
+  EXPECT_EQ(f, g);
+}
+
+TEST(FilterTest, IfaceAtomsSkipWildcardsAndNegations) {
+  auto f = Filter::disj(
+      Filter::conj(Filter::iface(5), Filter::negate(Filter::iface(2))),
+      Filter::iface(3));
+  EXPECT_EQ(f.iface_atoms(), (std::vector<std::int32_t>{3, 5}));
+  EXPECT_EQ(f.iface_footprint(), 3);
+  EXPECT_TRUE(Filter::any_iface().iface_atoms().empty());
+}
+
+TEST(FilterTest, PrefixConstraintOnlyFromPositiveSingleConjunct) {
+  auto p = *Prefix::parse("10.1.0.0/16");
+  auto q = *Prefix::parse("10.2.0.0/16");
+  EXPECT_EQ(Filter::src_ip(p).prefix_constraint(FilterField::kSrcIp), p);
+  EXPECT_TRUE(
+      Filter::src_ip(p).prefix_constraint(FilterField::kDstIp).is_any());
+  // Other literals in the conjunct do not get in the way.
+  auto f = Filter::conj(Filter::conj(Filter::src_ip(p), Filter::l4_port(80)),
+                        Filter::dst_ip(q));
+  EXPECT_EQ(f.prefix_constraint(FilterField::kSrcIp), p);
+  EXPECT_EQ(f.prefix_constraint(FilterField::kDstIp), q);
+  // A negated atom never narrows; a positive one beside it still does.
+  EXPECT_TRUE(Filter::negate(Filter::src_ip(p))
+                  .prefix_constraint(FilterField::kSrcIp)
+                  .is_any());
+  EXPECT_EQ(Filter::conj(Filter::negate(Filter::src_ip(q)), Filter::src_ip(p))
+                .prefix_constraint(FilterField::kSrcIp),
+            p);
+  // A disjunction admits traffic outside any one conjunct's prefix.
+  EXPECT_TRUE(Filter::disj(Filter::src_ip(p), Filter::src_ip(q))
+                  .prefix_constraint(FilterField::kSrcIp)
+                  .is_any());
+  EXPECT_TRUE(Filter::disj(Filter::src_ip(p), Filter::l4_port(80))
+                  .prefix_constraint(FilterField::kSrcIp)
+                  .is_any());
+}
+
 TEST(TopologyTest, SpineLeafStructure) {
   auto sl = build_spine_leaf({.spines = 2, .leaves = 3, .hosts_per_leaf = 4});
   EXPECT_EQ(sl.spine_switches.size(), 2u);

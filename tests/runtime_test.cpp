@@ -447,6 +447,128 @@ TEST(SoilTest, FlowSubjectInstallsCountRule) {
   EXPECT_GT(seed->snapshot().machine_vars.at("seen").as_int(), 0);
 }
 
+// A seed polling dstIP 10.1.0.0/16, and a reaction rule on that pattern.
+constexpr const char* kFlowPollSource = R"(
+  machine M {
+    place all;
+    poll p = Poll { .ival = 0.005, .what = dstIP "10.1.0.0/16" };
+    state s { when (p as stats) do { } }
+  }
+)";
+constexpr const char* kIdleSource = "machine Idle { place all; state s { } }";
+
+asic::TcamRule reaction_rule() {
+  asic::TcamRule r;
+  r.pattern = net::Filter::dst_ip(*net::Prefix::parse("10.1.0.0/16"));
+  r.action = asic::RuleAction::kDrop;
+  return r;
+}
+
+std::vector<std::string> monitoring_notes(const asic::Tcam& tcam) {
+  std::vector<std::string> notes;
+  for (const auto& r : tcam.rules())
+    if (r.region == asic::TcamRegion::kMonitoring) notes.push_back(r.note);
+  return notes;
+}
+
+TEST(SoilTest, UndeployRemovesOnlyTheSoilPollRuleWhenItIsOlder) {
+  Rig rig;
+  auto leaf0 = rig.sl.leaf_switches[0];
+  auto& soil = rig.soil_of(leaf0);
+  auto& tcam = rig.by_node[leaf0]->tcam();
+  soil.deploy({"poller", "M", 0}, MachineImage::from_source(kFlowPollSource, "M"),
+              {});
+  rig.engine.run_for(Duration::ms(20));  // first poll installs soil-poll
+  ASSERT_EQ(monitoring_notes(tcam), std::vector<std::string>{"soil-poll"});
+  Seed* holder = soil.deploy({"holder", "Idle", 0},
+                             MachineImage::from_source(kIdleSource, "Idle"), {});
+  soil.add_monitor_rule(*holder, reaction_rule());
+  ASSERT_EQ(monitoring_notes(tcam),
+            (std::vector<std::string>{"soil-poll", "holder/Idle#0"}));
+  ASSERT_TRUE(soil.undeploy({"poller", "M", 0}));
+  // The reaction rule with the same pattern is another seed's state.
+  EXPECT_EQ(monitoring_notes(tcam), std::vector<std::string>{"holder/Idle#0"});
+}
+
+TEST(SoilTest, UndeployRemovesTheSoilPollRuleBehindAnOlderSeedRule) {
+  Rig rig;
+  auto leaf0 = rig.sl.leaf_switches[0];
+  auto& soil = rig.soil_of(leaf0);
+  auto& tcam = rig.by_node[leaf0]->tcam();
+  Seed* holder = soil.deploy({"holder", "Idle", 0},
+                             MachineImage::from_source(kIdleSource, "Idle"), {});
+  soil.add_monitor_rule(*holder, reaction_rule());
+  soil.deploy({"poller", "M", 0}, MachineImage::from_source(kFlowPollSource, "M"),
+              {});
+  rig.engine.run_for(Duration::ms(20));
+  // The poll reads the existing rule; the soil installs nothing of its own.
+  ASSERT_EQ(monitoring_notes(tcam), std::vector<std::string>{"holder/Idle#0"});
+  // A soil-poll rule younger than the seed's rule (e.g. left by an earlier
+  // deployment) must still go once nobody polls the pattern.
+  asic::TcamRule poll_rule = reaction_rule();
+  poll_rule.action = asic::RuleAction::kCount;
+  poll_rule.note = "soil-poll";
+  ASSERT_TRUE(tcam.add_rule(poll_rule));
+  ASSERT_TRUE(soil.undeploy({"poller", "M", 0}));
+  EXPECT_EQ(monitoring_notes(tcam), std::vector<std::string>{"holder/Idle#0"});
+}
+
+TEST(SoilTest, PollGroupServesMembersInRegistrationOrder) {
+  // Four seeds share one poll subject; each reports on every poll. The
+  // indices are deployed out of order so registration order is not id
+  // order, and a realloc re-registers one seed at the back.
+  auto first_round = [](bool realloc_index0) {
+    Rig rig;
+    RecordingHarvester harv(rig.engine, "t");
+    rig.bus.attach_harvester("t", harv);
+    auto image = MachineImage::from_source(R"(
+      machine P {
+        place all;
+        poll p = Poll { .ival = 0.005, .what = port ANY };
+        state s { when (p as stats) do { send 1 to harvester; } }
+      }
+    )",
+                                           "P");
+    auto& soil = rig.soil_of(rig.sl.leaf_switches[0]);
+    for (int index : {3, 0, 2, 1}) soil.deploy({"t", "P", index}, image, {});
+    if (realloc_index0)
+      soil.set_allocation({"t", "P", 0}, ResourcesValue{1, 128, 32, 1});
+    rig.engine.run_for(Duration::ms(7));  // one group round
+    std::vector<int> order;
+    for (const auto& [from, payload] : harv.reports) order.push_back(from.index);
+    return order;
+  };
+  EXPECT_EQ(first_round(false), (std::vector<int>{3, 0, 2, 1}));
+  EXPECT_EQ(first_round(true), (std::vector<int>{3, 2, 1, 0}));
+}
+
+TEST(SoilTest, SeedLookupAfterUndeployAndCrash) {
+  Rig rig;
+  auto& soil = rig.soil_of(rig.sl.leaf_switches[0]);
+  const SeedId a{"t", "HH", 0}, b{"t", "HH", 1}, c{"u", "HH", 0};
+  Seed* sa = soil.deploy(a, rig.hh, {});
+  soil.deploy(b, rig.hh, {});
+  Seed* sc = soil.deploy(c, rig.hh, {});
+  ASSERT_TRUE(soil.undeploy(b));
+  EXPECT_EQ(soil.find(b), nullptr);
+  EXPECT_EQ(soil.find(a), sa);
+  EXPECT_EQ(soil.find(c), sc);
+  EXPECT_EQ(soil.seeds(), (std::vector<Seed*>{sa, sc}));
+  // Redeploying under the freed id yields a fresh, findable seed.
+  Seed* sb = soil.deploy(b, rig.hh, {});
+  EXPECT_EQ(soil.find(b), sb);
+  EXPECT_EQ(soil.seeds(), (std::vector<Seed*>{sa, sc, sb}));
+  rig.engine.run_for(Duration::ms(10));
+  soil.crash();
+  EXPECT_EQ(soil.seed_count(), 0u);
+  for (const SeedId& id : {a, b, c}) EXPECT_EQ(soil.find(id), nullptr);
+  Seed* again = soil.deploy(a, rig.hh, {});
+  EXPECT_EQ(soil.find(a), again);
+  EXPECT_EQ(soil.find(c), nullptr);
+  rig.engine.run_for(Duration::ms(10));
+  EXPECT_GT(soil.poll_deliveries(), 0u);
+}
+
 TEST(BusTest, UpstreamBytesMetered) {
   Rig rig;
   RecordingHarvester harv(rig.engine, "t1");
