@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# verify-all: configure + build + test the twelve supported configurations
+# verify-all: configure + build + test the thirteen supported configurations
 # in sequence — default (RelWithDebInfo), Sickle lint over the corpus and
 # example seeds, the DiSketch accuracy goldens (`accuracy` label), the
 # Silo sharded-store suite at FARM_THREADS=16 (`silo` label — exercises
@@ -8,11 +8,14 @@
 # Furrow profiler suite (`profile` label), the Winnow abstract-interpreter
 # and optimizer suite (`winnow` label), the data-plane suite (`dataplane`
 # label: filters, the indexed TCAM against its linear model, soil poll
-# groups and seed lookups), ASan+UBSan, a UBSan-only build
-# over the lint+winnow labels (the interpreter and abstract-interpreter
-# arithmetic edge cases are exactly where UB hides), telemetry compiled
-# out, and TSan over the Combine-labelled concurrency tests (the worker
-# pool and the parallel placement/sweep paths, run at FARM_THREADS=8).
+# groups and seed lookups), the seed VM transcript corpus (`vm` label:
+# byte-for-byte interpreter transcripts, builtin argument checks and the
+# builtin table), ASan+UBSan, a UBSan-only build over the lint+winnow+vm
+# labels (the interpreter and abstract-interpreter arithmetic edge cases
+# are exactly where UB hides), telemetry compiled out, and TSan over the
+# Combine-labelled concurrency tests (the worker pool, the parallel
+# placement/sweep paths and seeds of one shared Program, run at
+# FARM_THREADS=8).
 # Then three fatal bench gates: bench_incremental must re-optimize a
 # single seed event on the 100k-seed fabric in under a second,
 # bit-identical to a full solve; bench_profiler must show ≤2% end-to-end
@@ -29,7 +32,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-workflows=(verify-default verify-lint verify-accuracy verify-silo verify-incremental verify-profile verify-winnow verify-dataplane verify-asan verify-ubsan verify-telemetry-off verify-tsan)
+workflows=(verify-default verify-lint verify-accuracy verify-silo verify-incremental verify-profile verify-winnow verify-dataplane verify-vm verify-asan verify-ubsan verify-telemetry-off verify-tsan)
 failed=()
 
 for wf in "${workflows[@]}"; do

@@ -52,8 +52,8 @@ bool is_resource_access(const Expr& e, const std::string& param,
   const Expr& base = *e.args[0];
   bool is_param =
       base.kind == Expr::Kind::kVarRef && base.name == param;
-  bool is_res_call = base.kind == Expr::Kind::kCall && base.name == "res" &&
-                     base.args.empty();
+  bool is_res_call = base.kind == Expr::Kind::kCall &&
+                     base.builtin == Builtin::kRes && base.args.empty();
   if (!is_param && !is_res_call) return false;
   dim = resource_dim(e.name, e.loc);
   return true;
@@ -109,12 +109,12 @@ class UtilAnalyzer {
             "util may not reference variables (only its resource parameter)",
             e.loc);
       case Expr::Kind::kCall: {
-        if (e.name != "min" && e.name != "max")
+        if (e.builtin != Builtin::kMin && e.builtin != Builtin::kMax)
           throw CompileError("util may only call min/max", e.loc);
         std::vector<SymVal> args;
         for (const auto& a : e.args) args.push_back(eval_expr(*a));
-        return e.name == "min" ? combine_min(args, e.loc)
-                               : combine_max(args, e.loc);
+        return e.builtin == Builtin::kMin ? combine_min(args, e.loc)
+                                          : combine_max(args, e.loc);
       }
       case Expr::Kind::kBinary:
         return eval_binary(e);
@@ -346,6 +346,40 @@ UtilityAnalysis default_utility() {
   return u;
 }
 
+StateUtilities::StateUtilities(const CompiledMachine& machine) {
+  per_state_.reserve(machine.states.size());
+  for (const auto& st : machine.states) {
+    if (!st.util) {
+      per_state_.emplace_back(default_utility());
+      continue;
+    }
+    try {
+      per_state_.emplace_back(analyze_utility(*st.util));
+    } catch (const CompileError& e) {
+      per_state_.emplace_back(e);
+    }
+  }
+}
+
+const std::variant<UtilityAnalysis, CompileError>& StateUtilities::slot(
+    const CompiledMachine& machine, const CompiledState& st) const {
+  const auto i = static_cast<std::size_t>(&st - machine.states.data());
+  FARM_CHECK_MSG(i < per_state_.size(), "state of another machine");
+  return per_state_[i];
+}
+
+const UtilityAnalysis* StateUtilities::find(const CompiledMachine& machine,
+                                            const CompiledState& st) const {
+  return std::get_if<UtilityAnalysis>(&slot(machine, st));
+}
+
+const UtilityAnalysis& StateUtilities::get(const CompiledMachine& machine,
+                                           const CompiledState& st) const {
+  const auto& s = slot(machine, st);
+  if (const auto* err = std::get_if<CompileError>(&s)) throw *err;
+  return std::get<UtilityAnalysis>(s);
+}
+
 // --- Poll analysis -----------------------------------------------------------
 
 namespace {
@@ -417,9 +451,9 @@ std::vector<PollAnalysis> analyze_polls(
     const Expr* what_expr = nullptr;
     const Expr* ival_expr = nullptr;
     for (std::size_t i = 0; i < v->init->field_names.size(); ++i) {
-      if (v->init->field_names[i] == "what")
+      if (v->init->field_ids[i] == Field::kWhat)
         what_expr = v->init->args[i].get();
-      if (v->init->field_names[i] == "ival")
+      if (v->init->field_ids[i] == Field::kIval)
         ival_expr = v->init->args[i].get();
     }
     if (!ival_expr)
@@ -497,8 +531,8 @@ void analyze_sketch_var(Interpreter& interp, const VarDecl& v, Env& env,
   sa.loc = v.loc;
   const Expr& init = *v.init;
   if (init.kind == Expr::Kind::kCall &&
-      (init.name == "cms_new" || init.name == "mg_new" ||
-       init.name == "hll_new")) {
+      (init.builtin == Builtin::kCmsNew || init.builtin == Builtin::kMgNew ||
+       init.builtin == Builtin::kHllNew)) {
     std::vector<std::int64_t> args;
     bool all_static = true;
     for (const auto& a : init.args) {
@@ -507,17 +541,17 @@ void analyze_sketch_var(Interpreter& interp, const VarDecl& v, Env& env,
       args.push_back(x);
     }
     if (all_static) {
-      if (init.name == "cms_new" && args.size() == 2) {
+      if (init.builtin == Builtin::kCmsNew && args.size() == 2) {
         sa.analyzable = true;
         sa.spec.kind = net::SketchKind::kCountMin;
         sa.spec.width = static_cast<int>(args[0]);
         sa.spec.depth = static_cast<int>(args[1]);
-      } else if (init.name == "mg_new" && args.size() == 1) {
+      } else if (init.builtin == Builtin::kMgNew && args.size() == 1) {
         sa.analyzable = true;
         sa.spec.kind = net::SketchKind::kMisraGries;
         sa.spec.capacity = static_cast<int>(args[0]);
         sa.spec.shards = 1;  // seed-local summaries are unsharded
-      } else if (init.name == "hll_new" && args.size() == 1) {
+      } else if (init.builtin == Builtin::kHllNew && args.size() == 1) {
         sa.analyzable = true;
         sa.spec.kind = net::SketchKind::kHyperLogLog;
         sa.spec.precision = static_cast<int>(args[0]);

@@ -25,6 +25,7 @@
 #include <array>
 #include <limits>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "almanac/compile.h"
@@ -111,6 +112,29 @@ UtilityAnalysis analyze_utility(const UtilityDecl& util);
 // Default analysis for states without util: always placeable, utility 1
 // (a seed the operator deployed has baseline worth).
 UtilityAnalysis default_utility();
+
+// Every state's utility analysis, computed once per machine and reused: it
+// is a pure function of the AST, and the seeder asks for it for every live
+// seed on every reoptimize pass. A state without a util callback gets
+// default_utility(); a callback that fails analysis keeps its
+// CompileError.
+class StateUtilities {
+ public:
+  StateUtilities() = default;
+  explicit StateUtilities(const CompiledMachine& machine);
+  // The analysis of state `st` of `machine` (the machine this table was
+  // built from), or nullptr when its util callback failed analysis.
+  const UtilityAnalysis* find(const CompiledMachine& machine,
+                              const CompiledState& st) const;
+  // Like find, but throws the stored CompileError on failure.
+  const UtilityAnalysis& get(const CompiledMachine& machine,
+                             const CompiledState& st) const;
+
+ private:
+  const std::variant<UtilityAnalysis, CompileError>& slot(
+      const CompiledMachine& machine, const CompiledState& st) const;
+  std::vector<std::variant<UtilityAnalysis, CompileError>> per_state_;
+};
 
 // --- Poll analysis -----------------------------------------------------------
 

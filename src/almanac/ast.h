@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "almanac/builtins.h"
+#include "almanac/symbol.h"
 #include "almanac/value.h"
 
 namespace farm::almanac {
@@ -65,6 +67,37 @@ enum class BinOp {
 
 std::string to_string(BinOp op);
 
+// Names the interpreter dispatches on besides builtins and variables:
+// packet/trigger/rule/resource field names, struct-initializer labels and
+// filter-atom kinds share one vocabulary.
+enum class Field : std::uint8_t {
+  kUnknown,
+  kVCPU,
+  kRAM,
+  kTCAM,
+  kPCIe,
+  kSrcIP,
+  kDstIP,
+  kPort,
+  kSrcPort,
+  kDstPort,
+  kIface,
+  kSize,
+  kProto,
+  kSyn,
+  kAck,
+  kFin,
+  kRst,
+  kIval,
+  kWhat,
+  kPattern,
+  kAct,
+  kId,
+  kPriority,
+};
+
+enum class StructKind : std::uint8_t { kUnknown, kPoll, kProbe, kRule };
+
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
@@ -88,6 +121,14 @@ struct Expr {
   BinOp op = BinOp::kAnd;  // kBinary
   std::vector<ExprPtr> args;
   std::vector<std::string> field_names;  // kStructInit: .field labels
+
+  // Resolved from the names above when the AST is built (resolve.h) and
+  // never written afterwards, so threads may share the tree.
+  Symbol sym = kNoSymbol;             // kVarRef name / kCall callee
+  Builtin builtin = Builtin::kNone;   // kCall
+  Field field = Field::kUnknown;      // kFieldAccess field / kFilterAtom kind
+  StructKind struct_kind = StructKind::kUnknown;  // kStructInit
+  std::vector<Field> field_ids;       // kStructInit: resolved labels
 };
 
 // --- Actions (statements) ----------------------------------------------------
@@ -120,6 +161,12 @@ struct Action {
   bool to_harvester = false;
   std::string to_machine;  // machine name when !to_harvester
   ExprPtr to_dst;          // optional @dst expression (switch id); null = broadcast
+
+  // Resolved when the AST is built (resolve.h):
+  Symbol sym = kNoSymbol;  // kAssign / kDeclare target
+  // kAssign: some machine of the program declares `target` as a trigger
+  // variable, so the interpreter must check whether its machine re-arms.
+  bool may_assign_trigger = false;
 };
 
 // --- Declarations -------------------------------------------------------------
@@ -133,6 +180,7 @@ struct VarDecl {
   std::optional<TriggerType> trigger;
   std::string name;
   ExprPtr init;  // may be null
+  Symbol sym = kNoSymbol;  // resolved `name`
 };
 
 struct UtilityDecl {
@@ -155,6 +203,10 @@ struct EventDecl {
   std::string from_machine;  // when !from_harvester
   ExprPtr from_dst;          // optional @dst filter on the sender's switch
   std::vector<ActionPtr> actions;
+  // Resolved `var`, `as_var` and `recv_var` (kNoSymbol when empty).
+  Symbol var_sym = kNoSymbol;
+  Symbol as_sym = kNoSymbol;
+  Symbol recv_sym = kNoSymbol;
 };
 
 struct PlaceDirective {
@@ -197,6 +249,7 @@ struct MachineDecl {
 struct Param {
   TypeName type;
   std::string name;
+  Symbol sym = kNoSymbol;  // resolved `name`
 };
 
 struct FuncDecl {
@@ -205,6 +258,7 @@ struct FuncDecl {
   std::string name;
   std::vector<Param> params;
   std::vector<ActionPtr> body;
+  Symbol sym = kNoSymbol;  // resolved `name`
 };
 
 struct Program {
@@ -219,6 +273,11 @@ struct Program {
   const FuncDecl* function(const std::string& name) const {
     for (const auto& f : functions)
       if (f.name == name) return &f;
+    return nullptr;
+  }
+  const FuncDecl* function(Symbol sym) const {
+    for (const auto& f : functions)
+      if (f.sym == sym) return &f;
     return nullptr;
   }
 };

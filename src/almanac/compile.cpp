@@ -68,7 +68,8 @@ void check_util_expr(const Expr& e, verify::DiagnosticSink& sink) {
       return;
     case Expr::Kind::kCall:
       // §III-A f rule 3: only min and max.
-      if (e.name != "min" && e.name != "max" && e.name != "res") {
+      if (e.builtin != Builtin::kMin && e.builtin != Builtin::kMax &&
+          e.builtin != Builtin::kRes) {
         sink.error(kCodeUtilRestriction, e.loc,
                    "util may only call min/max (and read res)");
         return;
@@ -215,6 +216,7 @@ std::optional<CompiledMachine> compile_machine_collect(
   for (const auto& [name, decl] : states) {
     CompiledState cs;
     cs.name = name;
+    cs.sym = intern(name);
     cs.decl = decl;
     cs.util = decl->util ? &*decl->util : nullptr;
     for (const auto& l : decl->locals) {

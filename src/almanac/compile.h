@@ -34,6 +34,7 @@ class CompileError : public std::runtime_error {
 
 struct CompiledState {
   std::string name;
+  Symbol sym = kNoSymbol;  // interned `name`
   const StateDecl* decl = nullptr;
   const UtilityDecl* util = nullptr;
   std::vector<const VarDecl*> locals;
@@ -56,10 +57,25 @@ struct CompiledMachine {
       if (s.name == n) return &s;
     return nullptr;
   }
+  const CompiledState* state(Symbol s) const {
+    for (const auto& st : states)
+      if (st.sym == s) return &st;
+    return nullptr;
+  }
   const VarDecl* var(const std::string& n) const {
     for (const auto* v : vars)
       if (v->name == n) return v;
     return nullptr;
+  }
+  const VarDecl* var(Symbol s) const {
+    for (const auto* v : vars)
+      if (v->sym == s) return v;
+    return nullptr;
+  }
+  // Is `s` one of this machine's trigger variables?
+  bool is_trigger(Symbol s) const {
+    const VarDecl* v = var(s);
+    return v && v->trigger;
   }
   std::vector<const VarDecl*> trigger_vars() const {
     std::vector<const VarDecl*> out;

@@ -59,14 +59,45 @@ const net::Filter& need_filter(const Value& v, SourceLoc loc,
   return v.as_filter();
 }
 
+std::vector<Value>& need_list(const Value& v, SourceLoc loc,
+                              const std::string& what) {
+  if (!v.is_list())
+    throw EvalError(what + ": expected list, got " + v.type_name(), loc);
+  return *v.as_list();
+}
+
+const std::vector<StatEntry>& need_stats(const Value& v, SourceLoc loc,
+                                         const std::string& what) {
+  if (!v.is_stats())
+    throw EvalError(what + ": expected stats, got " + v.type_name(), loc);
+  return *v.as_stats().entries;
+}
+
+const std::string& need_string(const Value& v, SourceLoc loc,
+                               const std::string& what) {
+  if (!v.is_string())
+    throw EvalError(what + ": expected string, got " + v.type_name(), loc);
+  return v.as_string();
+}
+
+std::string key_string(const Value& v) {
+  return v.is_string() ? v.as_string() : v.to_string();
+}
+
 }  // namespace
 
+void Env::define(Symbol s, Value v) {
+  for (auto& b : vars_)
+    if (b.sym == s) {
+      b.value = std::move(v);
+      return;
+    }
+  vars_.push_back({s, std::move(v)});
+}
+
 Value* Env::find(const std::string& name) {
-  for (Env* e = this; e; e = e->parent_) {
-    auto it = e->vars_.find(name);
-    if (it != e->vars_.end()) return &it->second;
-  }
-  return nullptr;
+  Symbol s = find_symbol(name);
+  return s == kNoSymbol ? nullptr : find(s);
 }
 
 const Value* Env::find(const std::string& name) const {
@@ -74,11 +105,14 @@ const Value* Env::find(const std::string& name) const {
 }
 
 bool Env::assign(const std::string& name, Value v) {
-  if (Value* slot = find(name)) {
-    *slot = std::move(v);
-    return true;
-  }
-  return false;
+  Symbol s = find_symbol(name);
+  return s != kNoSymbol && assign(s, std::move(v));
+}
+
+std::unordered_map<std::string, Value> Env::own() const {
+  std::unordered_map<std::string, Value> out;
+  for (const auto& b : vars_) out.emplace(symbol_name(b.sym), b.value);
+  return out;
 }
 
 Value Interpreter::default_value(TypeName t) {
@@ -148,7 +182,7 @@ Value Interpreter::eval(const Expr& e, Env& env) {
     case Expr::Kind::kLiteral:
       return e.literal;
     case Expr::Kind::kVarRef: {
-      if (Value* v = env.find(e.name)) return *v;
+      if (Value* v = env.find(e.sym)) return *v;
       throw EvalError("undefined variable: " + e.name, e.loc);
     }
     case Expr::Kind::kFieldAccess:
@@ -283,504 +317,536 @@ Value Interpreter::eval_binary(const Expr& e, Env& env) {
 }
 
 Value Interpreter::eval_filter_atom(const Expr& e, Env& env) {
-  if (e.name == "port" && e.args.empty()) {
-    // `port ANY`: every switch interface.
-    return Value(net::Filter::any_iface());
-  }
-  if (e.name == "iface" && e.args.empty())
-    return Value(net::Filter::any_iface());
-  if (e.args.empty())
+  if (e.args.empty()) {
+    // `port ANY` / `iface ANY`: every switch interface.
+    if (e.field == Field::kPort || e.field == Field::kIface)
+      return Value(net::Filter::any_iface());
     throw EvalError("filter atom '" + e.name + "' needs an argument", e.loc);
-  Value arg = eval(*e.args[0], env);
-  if (e.name == "srcIP" || e.name == "dstIP") {
-    if (!arg.is_string())
-      throw EvalError(e.name + " expects a string prefix", e.loc);
-    auto p = net::Prefix::parse(arg.as_string());
-    if (!p)
-      throw EvalError("malformed prefix: " + arg.as_string(), e.loc);
-    return Value(e.name == "srcIP" ? net::Filter::src_ip(*p)
-                                   : net::Filter::dst_ip(*p));
   }
-  if (e.name == "proto") {
-    const std::string& p = arg.as_string();
-    if (p == "tcp") return Value(net::Filter::proto(net::Proto::kTcp));
-    if (p == "udp") return Value(net::Filter::proto(net::Proto::kUdp));
-    if (p == "icmp") return Value(net::Filter::proto(net::Proto::kIcmp));
-    throw EvalError("unknown protocol: " + p, e.loc);
+  Value arg = eval(*e.args[0], env);
+  switch (e.field) {
+    case Field::kSrcIP:
+    case Field::kDstIP: {
+      if (!arg.is_string())
+        throw EvalError(e.name + " expects a string prefix", e.loc);
+      auto p = net::Prefix::parse(arg.as_string());
+      if (!p)
+        throw EvalError("malformed prefix: " + arg.as_string(), e.loc);
+      return Value(e.field == Field::kSrcIP ? net::Filter::src_ip(*p)
+                                            : net::Filter::dst_ip(*p));
+    }
+    case Field::kProto: {
+      const std::string& p = need_string(arg, e.loc, e.name);
+      if (p == "tcp") return Value(net::Filter::proto(net::Proto::kTcp));
+      if (p == "udp") return Value(net::Filter::proto(net::Proto::kUdp));
+      if (p == "icmp") return Value(net::Filter::proto(net::Proto::kIcmp));
+      throw EvalError("unknown protocol: " + p, e.loc);
+    }
+    default:
+      break;
   }
   std::int64_t v = need_int(arg, e.loc, e.name.c_str());
-  if (e.name == "port")
-    return Value(net::Filter::l4_port(static_cast<std::uint16_t>(v)));
-  if (e.name == "srcPort")
-    return Value(net::Filter::src_port(static_cast<std::uint16_t>(v),
-                                       static_cast<std::uint16_t>(v)));
-  if (e.name == "dstPort")
-    return Value(net::Filter::dst_port(static_cast<std::uint16_t>(v),
-                                       static_cast<std::uint16_t>(v)));
-  if (e.name == "iface")
-    return Value(net::Filter::iface(static_cast<std::int32_t>(v)));
-  throw EvalError("unknown filter atom: " + e.name, e.loc);
+  const auto port = static_cast<std::uint16_t>(v);
+  switch (e.field) {
+    case Field::kPort:
+      return Value(net::Filter::l4_port(port));
+    case Field::kSrcPort:
+      return Value(net::Filter::src_port(port, port));
+    case Field::kDstPort:
+      return Value(net::Filter::dst_port(port, port));
+    case Field::kIface:
+      return Value(net::Filter::iface(static_cast<std::int32_t>(v)));
+    default:
+      throw EvalError("unknown filter atom: " + e.name, e.loc);
+  }
 }
 
 Value Interpreter::eval_struct_init(const Expr& e, Env& env) {
-  auto field = [&](const std::string& f) -> const Expr* {
-    for (std::size_t i = 0; i < e.field_names.size(); ++i)
-      if (e.field_names[i] == f) return e.args[i].get();
+  auto field = [&](Field f) -> const Expr* {
+    for (std::size_t i = 0; i < e.field_ids.size(); ++i)
+      if (e.field_ids[i] == f) return e.args[i].get();
     return nullptr;
   };
-  if (e.name == "Poll" || e.name == "Probe") {
-    TriggerSpec spec;
-    if (const Expr* ival = field("ival"))
-      spec.ival_seconds = need_num(eval(*ival, env), e.loc, "ival");
-    else
-      throw EvalError(e.name + " requires .ival", e.loc);
-    if (const Expr* what = field("what"))
-      spec.what = need_filter(eval(*what, env), e.loc, "what");
-    return Value(std::move(spec));
-  }
-  if (e.name == "Rule") {
-    asic::TcamRule rule;
-    if (const Expr* p = field("pattern"))
-      rule.pattern = need_filter(eval(*p, env), e.loc, "pattern");
-    else
-      throw EvalError("Rule requires .pattern", e.loc);
-    if (const Expr* a = field("act")) {
-      Value av = eval(*a, env);
-      if (!av.is_action())
-        throw EvalError("Rule.act must be an action value", e.loc);
-      rule.action = av.as_action().action;
-      rule.rate_limit_bps = av.as_action().rate_limit_bps;
+  switch (e.struct_kind) {
+    case StructKind::kPoll:
+    case StructKind::kProbe: {
+      TriggerSpec spec;
+      if (const Expr* ival = field(Field::kIval))
+        spec.ival_seconds = need_num(eval(*ival, env), e.loc, "ival");
+      else
+        throw EvalError(e.name + " requires .ival", e.loc);
+      if (const Expr* what = field(Field::kWhat))
+        spec.what = need_filter(eval(*what, env), e.loc, "what");
+      return Value(std::move(spec));
     }
-    if (const Expr* pr = field("priority"))
-      rule.priority = static_cast<int>(need_int(eval(*pr, env), e.loc,
-                                                "priority"));
-    return Value(std::move(rule));
+    case StructKind::kRule: {
+      asic::TcamRule rule;
+      if (const Expr* p = field(Field::kPattern))
+        rule.pattern = need_filter(eval(*p, env), e.loc, "pattern");
+      else
+        throw EvalError("Rule requires .pattern", e.loc);
+      if (const Expr* a = field(Field::kAct)) {
+        Value av = eval(*a, env);
+        if (!av.is_action())
+          throw EvalError("Rule.act must be an action value", e.loc);
+        rule.action = av.as_action().action;
+        rule.rate_limit_bps = av.as_action().rate_limit_bps;
+      }
+      if (const Expr* pr = field(Field::kPriority))
+        rule.priority = static_cast<int>(need_int(eval(*pr, env), e.loc,
+                                                  "priority"));
+      return Value(std::move(rule));
+    }
+    case StructKind::kUnknown:
+      break;
   }
   throw EvalError("unknown struct type: " + e.name, e.loc);
 }
 
 Value Interpreter::eval_field(const Expr& e, Env& env) {
-  Value base = eval(*e.args[0], env);
+  // A variable base is read in place: packets and rules are not copied
+  // just to extract one field.
+  const Expr& be = *e.args[0];
+  Value owned;
+  const Value* bp = be.kind == Expr::Kind::kVarRef ? env.find(be.sym) : nullptr;
+  if (!bp) {
+    owned = eval(be, env);
+    bp = &owned;
+  }
+  const Value& base = *bp;
   const std::string& f = e.name;
-  if (base.is_resources()) return Value(base.as_resources().field(f));
+  if (base.is_resources()) {
+    const auto& r = base.as_resources();
+    switch (e.field) {
+      case Field::kVCPU:
+        return Value(r.vCPU);
+      case Field::kRAM:
+        return Value(r.RAM);
+      case Field::kTCAM:
+        return Value(r.TCAM);
+      case Field::kPCIe:
+        return Value(r.PCIe);
+      default:
+        throw EvalError("unknown resource field: " + f, e.loc);
+    }
+  }
   if (base.is_packet()) {
     const auto& p = base.as_packet();
-    if (f == "srcIP") return Value(p.src_ip.to_string());
-    if (f == "dstIP") return Value(p.dst_ip.to_string());
-    if (f == "srcPort") return Value(std::int64_t{p.src_port});
-    if (f == "dstPort") return Value(std::int64_t{p.dst_port});
-    if (f == "size") return Value(std::int64_t{p.size_bytes});
-    if (f == "proto")
-      return Value(p.proto == net::Proto::kTcp   ? "tcp"
-                   : p.proto == net::Proto::kUdp ? "udp"
-                                                 : "icmp");
-    if (f == "syn") return Value(p.flags.syn);
-    if (f == "ack") return Value(p.flags.ack);
-    if (f == "fin") return Value(p.flags.fin);
-    if (f == "rst") return Value(p.flags.rst);
-    throw EvalError("unknown packet field: " + f, e.loc);
+    switch (e.field) {
+      case Field::kSrcIP:
+        return Value(p.src_ip.to_string());
+      case Field::kDstIP:
+        return Value(p.dst_ip.to_string());
+      case Field::kSrcPort:
+        return Value(std::int64_t{p.src_port});
+      case Field::kDstPort:
+        return Value(std::int64_t{p.dst_port});
+      case Field::kSize:
+        return Value(std::int64_t{p.size_bytes});
+      case Field::kProto:
+        return Value(p.proto == net::Proto::kTcp   ? "tcp"
+                     : p.proto == net::Proto::kUdp ? "udp"
+                                                   : "icmp");
+      case Field::kSyn:
+        return Value(p.flags.syn);
+      case Field::kAck:
+        return Value(p.flags.ack);
+      case Field::kFin:
+        return Value(p.flags.fin);
+      case Field::kRst:
+        return Value(p.flags.rst);
+      default:
+        throw EvalError("unknown packet field: " + f, e.loc);
+    }
   }
   if (base.is_trigger()) {
     const auto& t = base.as_trigger();
-    if (f == "ival") return Value(t.ival_seconds);
-    if (f == "what") return Value(t.what);
+    if (e.field == Field::kIval) return Value(t.ival_seconds);
+    if (e.field == Field::kWhat) return Value(t.what);
     throw EvalError("unknown trigger field: " + f, e.loc);
   }
   if (base.is_rule()) {
     const auto& r = base.as_rule();
-    if (f == "pattern") return Value(r.pattern);
-    if (f == "act") {
-      ActionValue a;
-      a.action = r.action;
-      a.rate_limit_bps = r.rate_limit_bps;
-      return Value(a);
+    switch (e.field) {
+      case Field::kPattern:
+        return Value(r.pattern);
+      case Field::kAct: {
+        ActionValue a;
+        a.action = r.action;
+        a.rate_limit_bps = r.rate_limit_bps;
+        return Value(a);
+      }
+      case Field::kId:
+        return Value(static_cast<std::int64_t>(r.id));
+      default:
+        throw EvalError("unknown rule field: " + f, e.loc);
     }
-    if (f == "id") return Value(static_cast<std::int64_t>(r.id));
-    throw EvalError("unknown rule field: " + f, e.loc);
   }
   throw EvalError("value of type " + base.type_name() + " has no field " + f,
                   e.loc);
 }
 
 Value Interpreter::eval_call(const Expr& e, Env& env) {
-  std::vector<Value> args;
-  args.reserve(e.args.size());
-  for (const auto& a : e.args) args.push_back(eval(*a, env));
-
-  bool handled = false;
-  Value v = builtin(e.name, args, env, e.loc, handled);
-  if (handled) return v;
-  return call_function(e.name, std::move(args), env, e.loc);
+  const std::size_t base = arg_stack_.size();
+  // Pops this call's arguments however the call ends.
+  struct Pop {
+    std::vector<Value>& stack;
+    std::size_t base;
+    ~Pop() { stack.resize(base); }
+  } pop{arg_stack_, base};
+  for (const auto& a : e.args) {
+    Value v = eval(*a, env);
+    arg_stack_.push_back(std::move(v));
+  }
+  Args args(arg_stack_.data() + base, e.args.size());
+  // Builtins shadow user functions of the same name.
+  if (e.builtin != Builtin::kNone) return builtin(e, args);
+  return call_function(e, args, env);
 }
 
-Value Interpreter::call_function(const std::string& name,
-                                 std::vector<Value> args, Env& root,
-                                 SourceLoc loc) {
-  const FuncDecl* f = machine_.program->function(name);
-  if (!f) throw EvalError("unknown function: " + name, loc);
+Value Interpreter::call_function(const Expr& e, Args args, Env& env) {
+  const std::string& name = e.name;
+  const FuncDecl* f = machine_.program->function(e.sym);
+  if (!f) throw EvalError("unknown function: " + name, e.loc);
   if (f->params.size() != args.size())
     throw EvalError("function " + name + " expects " +
                         std::to_string(f->params.size()) + " arguments, got " +
                         std::to_string(args.size()),
-                    loc);
+                    e.loc);
   if (++call_depth_ > kMaxCallDepth) {
     --call_depth_;
-    throw EvalError("call depth exceeded in " + name, loc);
+    throw EvalError("call depth exceeded in " + name, e.loc);
   }
   // Function scope chains onto the machine root so helpers can read
   // machine-level configuration.
-  Env* root_most = &root;
+  Env* root_most = &env;
   while (root_most->parent()) root_most = root_most->parent();
   Env scope(root_most);
+  scope.reserve(args.size());
   for (std::size_t i = 0; i < args.size(); ++i)
-    scope.define(f->params[i].name, std::move(args[i]));
+    scope.define(f->params[i].sym, std::move(args[i]));
   ExecResult r = exec(f->body, scope);
   --call_depth_;
-  return r.returned ? r.return_value : Value();
+  return r.returned ? std::move(r.return_value) : Value();
 }
 
-Value Interpreter::builtin(const std::string& name, std::vector<Value>& args,
-                           Env& env, SourceLoc loc, bool& handled) {
-  handled = true;
+Value Interpreter::builtin(const Expr& e, Args args) {
+  const std::string& name = e.name;
+  const SourceLoc loc = e.loc;
   auto arity = [&](std::size_t n) {
     if (args.size() != n)
       throw EvalError(name + " expects " + std::to_string(n) + " arguments",
                       loc);
   };
-  if (name == "res") {
-    arity(0);
-    return Value(host(loc)->resources());
-  }
-  if (name == "min" || name == "max") {
-    if (args.size() < 2) throw EvalError(name + " expects >= 2 args", loc);
-    bool all_int = true;
-    for (const auto& a : args) all_int &= a.is_int();
-    if (all_int) {
-      std::int64_t acc = args[0].as_int();
-      for (std::size_t i = 1; i < args.size(); ++i)
-        acc = name == "min" ? std::min(acc, args[i].as_int())
-                            : std::max(acc, args[i].as_int());
+  switch (e.builtin) {
+    case Builtin::kNone:
+      break;
+    case Builtin::kRes:
+      arity(0);
+      return Value(host(loc)->resources());
+    case Builtin::kMin:
+    case Builtin::kMax: {
+      const bool is_min = e.builtin == Builtin::kMin;
+      if (args.size() < 2) throw EvalError(name + " expects >= 2 args", loc);
+      bool all_int = true;
+      for (const auto& a : args) all_int &= a.is_int();
+      if (all_int) {
+        std::int64_t acc = args[0].as_int();
+        for (std::size_t i = 1; i < args.size(); ++i)
+          acc = is_min ? std::min(acc, args[i].as_int())
+                       : std::max(acc, args[i].as_int());
+        return Value(acc);
+      }
+      double acc = need_num(args[0], loc, name.c_str());
+      for (std::size_t i = 1; i < args.size(); ++i) {
+        double v = need_num(args[i], loc, name.c_str());
+        acc = is_min ? std::min(acc, v) : std::max(acc, v);
+      }
       return Value(acc);
     }
-    double acc = need_num(args[0], loc, name.c_str());
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      double v = need_num(args[i], loc, name.c_str());
-      acc = name == "min" ? std::min(acc, v) : std::max(acc, v);
+    case Builtin::kAbs: {
+      arity(1);
+      if (args[0].is_int()) {
+        std::int64_t v = args[0].as_int();
+        if (v == std::numeric_limits<std::int64_t>::min())
+          throw EvalError("integer overflow in 'abs'", loc);
+        return Value(v < 0 ? -v : v);
+      }
+      return Value(std::abs(need_num(args[0], loc, "abs")));
     }
-    return Value(acc);
-  }
-  if (name == "abs") {
-    arity(1);
-    if (args[0].is_int()) {
-      std::int64_t v = args[0].as_int();
-      if (v == std::numeric_limits<std::int64_t>::min())
-        throw EvalError("integer overflow in 'abs'", loc);
-      return Value(v < 0 ? -v : v);
-    }
-    return Value(std::abs(need_num(args[0], loc, "abs")));
-  }
-  if (name == "addTCAMRule") {
-    if (args.size() == 1 && args[0].is_rule()) {
-      host(loc)->add_tcam_rule(args[0].as_rule());
+    case Builtin::kAddTCAMRule: {
+      if (args.size() == 1 && args[0].is_rule()) {
+        host(loc)->add_tcam_rule(args[0].as_rule());
+        return Value();
+      }
+      arity(2);
+      asic::TcamRule rule;
+      rule.pattern = need_filter(args[0], loc, "addTCAMRule");
+      if (!args[1].is_action())
+        throw EvalError("addTCAMRule: second argument must be an action", loc);
+      rule.action = args[1].as_action().action;
+      rule.rate_limit_bps = args[1].as_action().rate_limit_bps;
+      host(loc)->add_tcam_rule(rule);
       return Value();
     }
-    arity(2);
-    asic::TcamRule rule;
-    rule.pattern = need_filter(args[0], loc, "addTCAMRule");
-    if (!args[1].is_action())
-      throw EvalError("addTCAMRule: second argument must be an action", loc);
-    rule.action = args[1].as_action().action;
-    rule.rate_limit_bps = args[1].as_action().rate_limit_bps;
-    host(loc)->add_tcam_rule(rule);
-    return Value();
-  }
-  if (name == "removeTCAMRule") {
-    arity(1);
-    host(loc)->remove_tcam_rule(need_filter(args[0], loc, "removeTCAMRule"));
-    return Value();
-  }
-  if (name == "getTCAMRule") {
-    arity(1);
-    auto r = host(loc)->get_tcam_rule(need_filter(args[0], loc, "getTCAMRule"));
-    return r ? Value(*r) : Value();
-  }
-  if (name == "exec") {
-    arity(1);
-    if (!args[0].is_string())
-      throw EvalError("exec expects a command string", loc);
-    host(loc)->exec(args[0].as_string());
-    return Value();
-  }
-  // --- actions --------------------------------------------------------------
-  if (name == "action_drop") {
-    arity(0);
-    return Value(ActionValue{asic::RuleAction::kDrop, 0});
-  }
-  if (name == "action_rate_limit") {
-    arity(1);
-    return Value(
-        ActionValue{asic::RuleAction::kRateLimit, need_num(args[0], loc, name.c_str())});
-  }
-  if (name == "action_count") {
-    arity(0);
-    return Value(ActionValue{asic::RuleAction::kCount, 0});
-  }
-  if (name == "action_mirror") {
-    arity(0);
-    return Value(ActionValue{asic::RuleAction::kMirror, 0});
-  }
-  // --- lists ----------------------------------------------------------------
-  if (name == "list_new") {
-    arity(0);
-    return Value::empty_list();
-  }
-  if (name == "list_size") {
-    arity(1);
-    return Value(static_cast<std::int64_t>(args[0].as_list()->size()));
-  }
-  if (name == "is_list_empty") {
-    arity(1);
-    return Value(args[0].as_list()->empty());
-  }
-  if (name == "list_get") {
-    arity(2);
-    const auto& l = *args[0].as_list();
-    auto i = need_int(args[1], loc, "list_get");
-    if (i < 0 || static_cast<std::size_t>(i) >= l.size())
-      throw EvalError("list index out of range", loc);
-    return l[static_cast<std::size_t>(i)];
-  }
-  if (name == "list_append") {
-    arity(2);
-    args[0].as_list()->push_back(args[1]);
-    return args[0];
-  }
-  if (name == "list_clear") {
-    arity(1);
-    args[0].as_list()->clear();
-    return args[0];
-  }
-  if (name == "list_contains") {
-    arity(2);
-    for (const auto& v : *args[0].as_list())
-      if (v.equals(args[1])) return Value(true);
-    return Value(false);
-  }
-  if (name == "list_index_of") {
-    arity(2);
-    const auto& l = *args[0].as_list();
-    for (std::size_t i = 0; i < l.size(); ++i)
-      if (l[i].equals(args[1])) return Value(static_cast<std::int64_t>(i));
-    return Value(std::int64_t{-1});
-  }
-  if (name == "list_set") {
-    arity(3);
-    auto& l = *args[0].as_list();
-    auto i = need_int(args[1], loc, "list_set");
-    if (i < 0 || static_cast<std::size_t>(i) >= l.size())
-      throw EvalError("list index out of range", loc);
-    l[static_cast<std::size_t>(i)] = args[2];
-    return args[0];
-  }
-  // --- statistics snapshots ---------------------------------------------------
-  if (name == "stats_size") {
-    arity(1);
-    return Value(static_cast<std::int64_t>(args[0].as_stats().entries->size()));
-  }
-  if (name == "stats_iface" || name == "stats_bytes" ||
-      name == "stats_packets" || name == "stats_subject") {
-    arity(2);
-    const auto& entries = *args[0].as_stats().entries;
-    auto i = need_int(args[1], loc, name.c_str());
-    if (i < 0 || static_cast<std::size_t>(i) >= entries.size())
-      throw EvalError("stats index out of range", loc);
-    const StatEntry& s = entries[static_cast<std::size_t>(i)];
-    if (name == "stats_iface") return Value(std::int64_t{s.iface});
-    if (name == "stats_bytes")
-      return Value(static_cast<std::int64_t>(s.bytes));
-    if (name == "stats_packets")
-      return Value(static_cast<std::int64_t>(s.packets));
-    return Value(s.subject);
-  }
-  // --- conversions & misc -----------------------------------------------------
-  // --- sketches (§VIII extension) --------------------------------------------
-  if (name == "cms_new") {
-    arity(2);
-    // Validate via SketchSpec before construction — FARM_CHECK aborts, and
-    // seed initializers are also evaluated inside the Sickle linter.
-    net::SketchSpec spec;
-    spec.kind = net::SketchKind::kCountMin;
-    spec.width = static_cast<int>(need_int(args[0], loc, "cms_new width"));
-    spec.depth = static_cast<int>(need_int(args[1], loc, "cms_new depth"));
-    if (std::string err = spec.validate(); !err.empty())
-      throw EvalError("cms_new: " + err, loc);
-    SketchValue s;
-    s.cms = std::make_shared<net::CountMinSketch>(spec.width, spec.depth);
-    return Value(std::move(s));
-  }
-  if (name == "cms_add") {
-    arity(3);
-    if (!args[0].is_sketch() || !args[0].as_sketch().cms)
-      throw EvalError("cms_add expects a count-min sketch", loc);
-    std::string key = args[1].is_string() ? args[1].as_string()
-                                          : args[1].to_string();
-    args[0].as_sketch().cms->add(
-        key, static_cast<std::uint64_t>(need_int(args[2], loc, "cms_add")));
-    return Value();
-  }
-  if (name == "cms_estimate") {
-    arity(2);
-    if (!args[0].is_sketch() || !args[0].as_sketch().cms)
-      throw EvalError("cms_estimate expects a count-min sketch", loc);
-    std::string key = args[1].is_string() ? args[1].as_string()
-                                          : args[1].to_string();
-    return Value(
-        static_cast<std::int64_t>(args[0].as_sketch().cms->estimate(key)));
-  }
-  if (name == "cms_clear") {
-    arity(1);
-    if (!args[0].is_sketch() || !args[0].as_sketch().cms)
-      throw EvalError("cms_clear expects a count-min sketch", loc);
-    args[0].as_sketch().cms->clear();
-    return Value();
-  }
-  if (name == "mg_new") {
-    arity(1);
-    net::SketchSpec spec;
-    spec.kind = net::SketchKind::kMisraGries;
-    spec.capacity =
-        static_cast<int>(need_int(args[0], loc, "mg_new capacity"));
-    spec.shards = 1;  // seed-local summaries are unsharded
-    if (std::string err = spec.validate(); !err.empty())
-      throw EvalError("mg_new: " + err, loc);
-    SketchValue s;
-    s.mg = std::make_shared<net::MisraGries>(spec.capacity);
-    return Value(std::move(s));
-  }
-  if (name == "mg_add") {
-    arity(3);
-    if (!args[0].is_sketch() || !args[0].as_sketch().mg)
-      throw EvalError("mg_add expects a misra-gries summary", loc);
-    std::string key = args[1].is_string() ? args[1].as_string()
-                                          : args[1].to_string();
-    args[0].as_sketch().mg->add(
-        key, static_cast<std::uint64_t>(need_int(args[2], loc, "mg_add")));
-    return Value();
-  }
-  if (name == "mg_estimate") {
-    arity(2);
-    if (!args[0].is_sketch() || !args[0].as_sketch().mg)
-      throw EvalError("mg_estimate expects a misra-gries summary", loc);
-    std::string key = args[1].is_string() ? args[1].as_string()
-                                          : args[1].to_string();
-    return Value(
-        static_cast<std::int64_t>(args[0].as_sketch().mg->estimate(key)));
-  }
-  if (name == "mg_hitters") {
-    arity(2);
-    if (!args[0].is_sketch() || !args[0].as_sketch().mg)
-      throw EvalError("mg_hitters expects a misra-gries summary", loc);
-    auto min_count = need_int(args[1], loc, "mg_hitters");
-    auto out = std::make_shared<std::vector<Value>>();
-    for (const auto& [k, c] : args[0].as_sketch().mg->hitters(
-             static_cast<std::uint64_t>(min_count > 0 ? min_count : 0)))
-      out->push_back(Value(k));
-    return Value(std::move(out));
-  }
-  if (name == "mg_clear") {
-    arity(1);
-    if (!args[0].is_sketch() || !args[0].as_sketch().mg)
-      throw EvalError("mg_clear expects a misra-gries summary", loc);
-    args[0].as_sketch().mg->clear();
-    return Value();
-  }
-  if (name == "hll_new") {
-    arity(1);
-    net::SketchSpec spec;
-    spec.kind = net::SketchKind::kHyperLogLog;
-    spec.precision =
-        static_cast<int>(need_int(args[0], loc, "hll_new precision"));
-    if (std::string err = spec.validate(); !err.empty())
-      throw EvalError("hll_new: " + err, loc);
-    SketchValue s;
-    s.hll = std::make_shared<net::HyperLogLog>(spec.precision);
-    return Value(std::move(s));
-  }
-  if (name == "hll_add") {
-    arity(2);
-    if (!args[0].is_sketch() || !args[0].as_sketch().hll)
-      throw EvalError("hll_add expects a HyperLogLog", loc);
-    args[0].as_sketch().hll->add(args[1].is_string() ? args[1].as_string()
-                                                     : args[1].to_string());
-    return Value();
-  }
-  if (name == "hll_estimate") {
-    arity(1);
-    if (!args[0].is_sketch() || !args[0].as_sketch().hll)
-      throw EvalError("hll_estimate expects a HyperLogLog", loc);
-    return Value(
-        static_cast<std::int64_t>(args[0].as_sketch().hll->estimate() + 0.5));
-  }
-  if (name == "hll_clear") {
-    arity(1);
-    if (!args[0].is_sketch() || !args[0].as_sketch().hll)
-      throw EvalError("hll_clear expects a HyperLogLog", loc);
-    args[0].as_sketch().hll->clear();
-    return Value();
-  }
-  if (name == "is_nil") {
-    arity(1);
-    return Value(args[0].is_nil());
-  }
-  if (name == "to_long") {
-    arity(1);
-    if (args[0].is_string()) {
-      // std::stoll throws std::invalid_argument / std::out_of_range, which
-      // would escape the runtime's EvalError handler; convert here.
-      try {
-        return Value(
-            static_cast<std::int64_t>(std::stoll(args[0].as_string())));
-      } catch (const std::exception&) {
-        throw EvalError("to_long: cannot parse '" + args[0].as_string() +
-                            "' as an integer",
-                        loc);
+    case Builtin::kRemoveTCAMRule:
+      arity(1);
+      host(loc)->remove_tcam_rule(need_filter(args[0], loc, "removeTCAMRule"));
+      return Value();
+    case Builtin::kGetTCAMRule: {
+      arity(1);
+      auto r =
+          host(loc)->get_tcam_rule(need_filter(args[0], loc, "getTCAMRule"));
+      return r ? Value(*r) : Value();
+    }
+    case Builtin::kExec:
+      arity(1);
+      if (!args[0].is_string())
+        throw EvalError("exec expects a command string", loc);
+      host(loc)->exec(args[0].as_string());
+      return Value();
+    // --- actions ------------------------------------------------------------
+    case Builtin::kActionDrop:
+      arity(0);
+      return Value(ActionValue{asic::RuleAction::kDrop, 0});
+    case Builtin::kActionRateLimit:
+      arity(1);
+      return Value(ActionValue{asic::RuleAction::kRateLimit,
+                               need_num(args[0], loc, name.c_str())});
+    case Builtin::kActionCount:
+      arity(0);
+      return Value(ActionValue{asic::RuleAction::kCount, 0});
+    case Builtin::kActionMirror:
+      arity(0);
+      return Value(ActionValue{asic::RuleAction::kMirror, 0});
+    // --- lists --------------------------------------------------------------
+    case Builtin::kListNew:
+      arity(0);
+      return Value::empty_list();
+    case Builtin::kListSize:
+      arity(1);
+      return Value(
+          static_cast<std::int64_t>(need_list(args[0], loc, name).size()));
+    case Builtin::kIsListEmpty:
+      arity(1);
+      return Value(need_list(args[0], loc, name).empty());
+    case Builtin::kListGet: {
+      arity(2);
+      const auto& l = need_list(args[0], loc, name);
+      auto i = need_int(args[1], loc, "list_get");
+      if (i < 0 || static_cast<std::size_t>(i) >= l.size())
+        throw EvalError("list index out of range", loc);
+      return l[static_cast<std::size_t>(i)];
+    }
+    case Builtin::kListAppend:
+      arity(2);
+      need_list(args[0], loc, name).push_back(args[1]);
+      return args[0];
+    case Builtin::kListClear:
+      arity(1);
+      need_list(args[0], loc, name).clear();
+      return args[0];
+    case Builtin::kListContains:
+      arity(2);
+      for (const auto& v : need_list(args[0], loc, name))
+        if (v.equals(args[1])) return Value(true);
+      return Value(false);
+    case Builtin::kListIndexOf: {
+      arity(2);
+      const auto& l = need_list(args[0], loc, name);
+      for (std::size_t i = 0; i < l.size(); ++i)
+        if (l[i].equals(args[1])) return Value(static_cast<std::int64_t>(i));
+      return Value(std::int64_t{-1});
+    }
+    case Builtin::kListSet: {
+      arity(3);
+      auto& l = need_list(args[0], loc, name);
+      auto i = need_int(args[1], loc, "list_set");
+      if (i < 0 || static_cast<std::size_t>(i) >= l.size())
+        throw EvalError("list index out of range", loc);
+      l[static_cast<std::size_t>(i)] = args[2];
+      return args[0];
+    }
+    // --- statistics snapshots -----------------------------------------------
+    case Builtin::kStatsSize:
+      arity(1);
+      return Value(
+          static_cast<std::int64_t>(need_stats(args[0], loc, name).size()));
+    case Builtin::kStatsIface:
+    case Builtin::kStatsBytes:
+    case Builtin::kStatsPackets:
+    case Builtin::kStatsSubject: {
+      arity(2);
+      const auto& entries = need_stats(args[0], loc, name);
+      auto i = need_int(args[1], loc, name.c_str());
+      if (i < 0 || static_cast<std::size_t>(i) >= entries.size())
+        throw EvalError("stats index out of range", loc);
+      const StatEntry& s = entries[static_cast<std::size_t>(i)];
+      switch (e.builtin) {
+        case Builtin::kStatsIface:
+          return Value(std::int64_t{s.iface});
+        case Builtin::kStatsBytes:
+          return Value(static_cast<std::int64_t>(s.bytes));
+        case Builtin::kStatsPackets:
+          return Value(static_cast<std::int64_t>(s.packets));
+        default:
+          return Value(s.subject);
       }
     }
-    double f = std::trunc(need_num(args[0], loc, "to_long"));
-    if (!(f >= kI64DblLo && f < kI64DblHi))
-      throw EvalError("integer overflow in 'to_long'", loc);
-    return Value(static_cast<std::int64_t>(f));
+    // --- sketches (§VIII extension) -----------------------------------------
+    case Builtin::kCmsNew: {
+      arity(2);
+      // Validate via SketchSpec before construction — FARM_CHECK aborts,
+      // and seed initializers are also evaluated inside the Sickle linter.
+      net::SketchSpec spec;
+      spec.kind = net::SketchKind::kCountMin;
+      spec.width = static_cast<int>(need_int(args[0], loc, "cms_new width"));
+      spec.depth = static_cast<int>(need_int(args[1], loc, "cms_new depth"));
+      if (std::string err = spec.validate(); !err.empty())
+        throw EvalError("cms_new: " + err, loc);
+      SketchValue s;
+      s.cms = std::make_shared<net::CountMinSketch>(spec.width, spec.depth);
+      return Value(std::move(s));
+    }
+    case Builtin::kCmsAdd:
+      arity(3);
+      if (!args[0].is_sketch() || !args[0].as_sketch().cms)
+        throw EvalError("cms_add expects a count-min sketch", loc);
+      args[0].as_sketch().cms->add(
+          key_string(args[1]),
+          static_cast<std::uint64_t>(need_int(args[2], loc, "cms_add")));
+      return Value();
+    case Builtin::kCmsEstimate:
+      arity(2);
+      if (!args[0].is_sketch() || !args[0].as_sketch().cms)
+        throw EvalError("cms_estimate expects a count-min sketch", loc);
+      return Value(static_cast<std::int64_t>(
+          args[0].as_sketch().cms->estimate(key_string(args[1]))));
+    case Builtin::kCmsClear:
+      arity(1);
+      if (!args[0].is_sketch() || !args[0].as_sketch().cms)
+        throw EvalError("cms_clear expects a count-min sketch", loc);
+      args[0].as_sketch().cms->clear();
+      return Value();
+    case Builtin::kMgNew: {
+      arity(1);
+      net::SketchSpec spec;
+      spec.kind = net::SketchKind::kMisraGries;
+      spec.capacity =
+          static_cast<int>(need_int(args[0], loc, "mg_new capacity"));
+      spec.shards = 1;  // seed-local summaries are unsharded
+      if (std::string err = spec.validate(); !err.empty())
+        throw EvalError("mg_new: " + err, loc);
+      SketchValue s;
+      s.mg = std::make_shared<net::MisraGries>(spec.capacity);
+      return Value(std::move(s));
+    }
+    case Builtin::kMgAdd:
+      arity(3);
+      if (!args[0].is_sketch() || !args[0].as_sketch().mg)
+        throw EvalError("mg_add expects a misra-gries summary", loc);
+      args[0].as_sketch().mg->add(
+          key_string(args[1]),
+          static_cast<std::uint64_t>(need_int(args[2], loc, "mg_add")));
+      return Value();
+    case Builtin::kMgEstimate:
+      arity(2);
+      if (!args[0].is_sketch() || !args[0].as_sketch().mg)
+        throw EvalError("mg_estimate expects a misra-gries summary", loc);
+      return Value(static_cast<std::int64_t>(
+          args[0].as_sketch().mg->estimate(key_string(args[1]))));
+    case Builtin::kMgHitters: {
+      arity(2);
+      if (!args[0].is_sketch() || !args[0].as_sketch().mg)
+        throw EvalError("mg_hitters expects a misra-gries summary", loc);
+      auto min_count = need_int(args[1], loc, "mg_hitters");
+      auto out = std::make_shared<std::vector<Value>>();
+      for (const auto& [k, c] : args[0].as_sketch().mg->hitters(
+               static_cast<std::uint64_t>(min_count > 0 ? min_count : 0)))
+        out->push_back(Value(k));
+      return Value(std::move(out));
+    }
+    case Builtin::kMgClear:
+      arity(1);
+      if (!args[0].is_sketch() || !args[0].as_sketch().mg)
+        throw EvalError("mg_clear expects a misra-gries summary", loc);
+      args[0].as_sketch().mg->clear();
+      return Value();
+    case Builtin::kHllNew: {
+      arity(1);
+      net::SketchSpec spec;
+      spec.kind = net::SketchKind::kHyperLogLog;
+      spec.precision =
+          static_cast<int>(need_int(args[0], loc, "hll_new precision"));
+      if (std::string err = spec.validate(); !err.empty())
+        throw EvalError("hll_new: " + err, loc);
+      SketchValue s;
+      s.hll = std::make_shared<net::HyperLogLog>(spec.precision);
+      return Value(std::move(s));
+    }
+    case Builtin::kHllAdd:
+      arity(2);
+      if (!args[0].is_sketch() || !args[0].as_sketch().hll)
+        throw EvalError("hll_add expects a HyperLogLog", loc);
+      args[0].as_sketch().hll->add(key_string(args[1]));
+      return Value();
+    case Builtin::kHllEstimate:
+      arity(1);
+      if (!args[0].is_sketch() || !args[0].as_sketch().hll)
+        throw EvalError("hll_estimate expects a HyperLogLog", loc);
+      return Value(static_cast<std::int64_t>(
+          args[0].as_sketch().hll->estimate() + 0.5));
+    case Builtin::kHllClear:
+      arity(1);
+      if (!args[0].is_sketch() || !args[0].as_sketch().hll)
+        throw EvalError("hll_clear expects a HyperLogLog", loc);
+      args[0].as_sketch().hll->clear();
+      return Value();
+    // --- conversions & misc -------------------------------------------------
+    case Builtin::kIsNil:
+      arity(1);
+      return Value(args[0].is_nil());
+    case Builtin::kToLong: {
+      arity(1);
+      if (args[0].is_string()) {
+        // std::stoll throws std::invalid_argument / std::out_of_range,
+        // which would escape the runtime's EvalError handler; convert here.
+        try {
+          return Value(
+              static_cast<std::int64_t>(std::stoll(args[0].as_string())));
+        } catch (const std::exception&) {
+          throw EvalError("to_long: cannot parse '" + args[0].as_string() +
+                              "' as an integer",
+                          loc);
+        }
+      }
+      double f = std::trunc(need_num(args[0], loc, "to_long"));
+      if (!(f >= kI64DblLo && f < kI64DblHi))
+        throw EvalError("integer overflow in 'to_long'", loc);
+      return Value(static_cast<std::int64_t>(f));
+    }
+    case Builtin::kToFloat:
+      arity(1);
+      return Value(need_num(args[0], loc, "to_float"));
+    case Builtin::kToStr:
+      arity(1);
+      return Value(key_string(args[0]));
+    case Builtin::kIfaceFilter:
+      arity(1);
+      return Value(net::Filter::iface(
+          static_cast<std::int32_t>(need_int(args[0], loc, "iface_filter"))));
+    case Builtin::kNowMs:
+      arity(0);
+      return Value(host(loc)->now_ms());
+    case Builtin::kSwitchId:
+      arity(0);
+      return Value(host(loc)->switch_id());
+    case Builtin::kLog:
+      arity(1);
+      host(loc)->log(key_string(args[0]));
+      return Value();
   }
-  if (name == "to_float") {
-    arity(1);
-    return Value(need_num(args[0], loc, "to_float"));
-  }
-  if (name == "to_str") {
-    arity(1);
-    return Value(args[0].is_string() ? args[0].as_string()
-                                     : args[0].to_string());
-  }
-  if (name == "iface_filter") {
-    arity(1);
-    return Value(net::Filter::iface(
-        static_cast<std::int32_t>(need_int(args[0], loc, "iface_filter"))));
-  }
-  if (name == "now_ms") {
-    arity(0);
-    return Value(host(loc)->now_ms());
-  }
-  if (name == "switch_id") {
-    arity(0);
-    return Value(host(loc)->switch_id());
-  }
-  if (name == "log") {
-    arity(1);
-    host(loc)->log(args[0].is_string() ? args[0].as_string()
-                                       : args[0].to_string());
-    return Value();
-  }
-  handled = false;
-  return Value();
+  throw EvalError("unknown function: " + name, loc);
 }
 
 ExecResult Interpreter::exec(const std::vector<ActionPtr>& actions, Env& env) {
@@ -789,17 +855,17 @@ ExecResult Interpreter::exec(const std::vector<ActionPtr>& actions, Env& env) {
       case Action::Kind::kDeclare: {
         Value v = a->expr ? eval(*a->expr, env)
                           : default_value(a->decl_type);
-        env.define(a->target, std::move(v));
+        env.define(a->sym, std::move(v));
         break;
       }
       case Action::Kind::kAssign: {
         Value v = eval(*a->expr, env);
-        if (!env.assign(a->target, std::move(v)))
+        if (!env.assign(a->sym, std::move(v)))
           throw EvalError("assignment to undeclared variable: " + a->target,
                           a->loc);
         // Trigger variables re-arm their timers on reassignment.
-        if (const VarDecl* vd = machine_.var(a->target); vd && vd->trigger)
-          if (host_) host_->trigger_updated(a->target);
+        if (a->may_assign_trigger && host_ && machine_.is_trigger(a->sym))
+          host_->trigger_updated(a->target);
         break;
       }
       case Action::Kind::kIf: {
@@ -813,12 +879,14 @@ ExecResult Interpreter::exec(const std::vector<ActionPtr>& actions, Env& env) {
       }
       case Action::Kind::kWhile: {
         std::int64_t guard = 0;
+        // Each iteration gets a fresh scope; one Env is reused for them.
+        Env scope(&env);
         for (;;) {
           Value c = eval(*a->expr, env);
           if (!c.is_bool())
             throw EvalError("while condition must be bool", a->loc);
           if (!c.as_bool()) break;
-          Env scope(&env);
+          scope.clear();
           ExecResult r = exec(a->body, scope);
           if (r.returned) return r;
           if (++guard > kMaxLoopIterations)
@@ -829,7 +897,7 @@ ExecResult Interpreter::exec(const std::vector<ActionPtr>& actions, Env& env) {
       case Action::Kind::kTransit: {
         std::string target;
         if (a->expr->kind == Expr::Kind::kVarRef &&
-            machine_.state(a->expr->name)) {
+            machine_.state(a->expr->sym)) {
           target = a->expr->name;  // bare state identifier
         } else {
           Value v = eval(*a->expr, env);

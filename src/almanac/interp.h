@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -31,25 +32,57 @@ class EvalError : public std::runtime_error {
   SourceLoc loc_;
 };
 
-// Lexically chained variable environment. The machine environment is the
-// root; state locals and handler bindings chain onto it.
+// Chained variable environment, keyed by interned symbol. The machine
+// environment is the root; state locals, handler bindings, block scopes
+// and function scopes chain onto it, and lookups take the innermost
+// binding (scoping is dynamic: a function scope chains to the machine
+// root, not to its caller). Each scope is a flat vector of (symbol, value)
+// pairs scanned linearly — scopes hold a handful of names — and allocates
+// nothing until its first define.
 class Env {
  public:
   explicit Env(Env* parent = nullptr) : parent_(parent) {}
 
-  void define(const std::string& name, Value v) { vars_[name] = std::move(v); }
+  // Binds `s` in this scope, replacing this scope's binding of it if any.
+  void define(Symbol s, Value v);
+  void define(const std::string& name, Value v) {
+    define(intern(name), std::move(v));
+  }
   // Innermost binding, or nullptr.
+  Value* find(Symbol s) {
+    for (Env* e = this; e; e = e->parent_)
+      for (auto& b : e->vars_)
+        if (b.sym == s) return &b.value;
+    return nullptr;
+  }
+  const Value* find(Symbol s) const { return const_cast<Env*>(this)->find(s); }
   Value* find(const std::string& name);
   const Value* find(const std::string& name) const;
   // Assigns the innermost existing binding; false if none exists.
+  bool assign(Symbol s, Value v) {
+    if (Value* slot = find(s)) {
+      *slot = std::move(v);
+      return true;
+    }
+    return false;
+  }
   bool assign(const std::string& name, Value v);
   Env* parent() { return parent_; }
-  // Own (non-inherited) bindings; used for state snapshot/migration.
-  const std::unordered_map<std::string, Value>& own() const { return vars_; }
+  // Drops this scope's own bindings, keeping its storage (loop bodies
+  // reuse one scope across iterations).
+  void clear() { vars_.clear(); }
+  void reserve(std::size_t n) { vars_.reserve(n); }
+  // Own (non-inherited) bindings by name; used for state snapshot and
+  // migration, which are keyed by variable name.
+  std::unordered_map<std::string, Value> own() const;
 
  private:
+  struct Binding {
+    Symbol sym;
+    Value value;
+  };
   Env* parent_;
-  std::unordered_map<std::string, Value> vars_;
+  std::vector<Binding> vars_;
 };
 
 // Destination of a send action.
@@ -97,9 +130,6 @@ class Interpreter {
 
   Value eval(const Expr& e, Env& env);
   ExecResult exec(const std::vector<ActionPtr>& actions, Env& env);
-  // Calls a user-defined function of the program.
-  Value call_function(const std::string& name, std::vector<Value> args,
-                      Env& root, SourceLoc loc);
 
   // Default value for a declared (non-trigger) variable type.
   static Value default_value(TypeName t);
@@ -107,6 +137,9 @@ class Interpreter {
   static bool matches_type(const Value& v, TypeName t);
 
  private:
+  // A call's evaluated arguments: a window of arg_stack_.
+  using Args = std::span<Value>;
+
   SeedHost* host(SourceLoc loc) const {
     if (!host_) throw EvalError("operation requires a runtime host", loc);
     return host_;
@@ -116,11 +149,17 @@ class Interpreter {
   Value eval_struct_init(const Expr& e, Env& env);
   Value eval_field(const Expr& e, Env& env);
   Value eval_call(const Expr& e, Env& env);
-  Value builtin(const std::string& name, std::vector<Value>& args, Env& env,
-                SourceLoc loc, bool& handled);
+  Value call_function(const Expr& e, Args args, Env& env);
+  Value builtin(const Expr& e, Args args);
 
   const CompiledMachine& machine_;
   SeedHost* host_;
+  // Call arguments live here while a call runs, so a call allocates
+  // nothing once the stack has grown to the deepest nesting seen. No host
+  // callback re-enters its interpreter synchronously (the soil delivers
+  // every event through the engine), so a window stays valid while its
+  // builtin runs.
+  std::vector<Value> arg_stack_;
   int call_depth_ = 0;
   static constexpr int kMaxCallDepth = 128;
   static constexpr std::int64_t kMaxLoopIterations = 10'000'000;

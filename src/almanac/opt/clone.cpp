@@ -1,5 +1,7 @@
 #include "almanac/opt/clone.h"
 
+#include "almanac/resolve.h"
+
 namespace farm::almanac::opt {
 
 ExprPtr clone_expr(const Expr& e, CloneMap* map) {
@@ -13,6 +15,7 @@ ExprPtr clone_expr(const Expr& e, CloneMap* map) {
   out->args.reserve(e.args.size());
   for (const auto& a : e.args)
     out->args.push_back(a ? clone_expr(*a, map) : nullptr);
+  resolve_node(*out);
   if (map) map->exprs[&e] = out.get();
   return out;
 }
@@ -29,6 +32,9 @@ ActionPtr clone_action(const Action& a, CloneMap* map) {
   out->to_harvester = a.to_harvester;
   out->to_machine = a.to_machine;
   out->to_dst = a.to_dst ? clone_expr(*a.to_dst, map) : nullptr;
+  resolve_node(*out);
+  // Clones keep their machine's trigger declarations, hence the flag.
+  out->may_assign_trigger = a.may_assign_trigger;
   if (map) map->actions[&a] = out.get();
   return out;
 }
@@ -50,6 +56,7 @@ VarDecl clone_var(const VarDecl& v, CloneMap* map) {
   out.trigger = v.trigger;
   out.name = v.name;
   out.init = v.init ? clone_expr(*v.init, map) : nullptr;
+  resolve_node(out);
   return out;
 }
 
@@ -73,6 +80,7 @@ EventDecl clone_event(const EventDecl& ev, CloneMap* map) {
   out.from_machine = ev.from_machine;
   out.from_dst = ev.from_dst ? clone_expr(*ev.from_dst, map) : nullptr;
   out.actions = clone_actions(ev.actions, map);
+  resolve_node(out);
   return out;
 }
 
@@ -99,6 +107,7 @@ FuncDecl clone_function(const FuncDecl& f, CloneMap* map) {
   out.name = f.name;
   out.params = f.params;
   out.body = clone_actions(f.body, map);
+  resolve_node(out);
   return out;
 }
 

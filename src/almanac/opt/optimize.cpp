@@ -118,7 +118,7 @@ struct Rewriter {
         return false;
       }
       case Expr::Kind::kCall: {
-        if (e.name == "min" || e.name == "max") {
+        if (e.builtin == Builtin::kMin || e.builtin == Builtin::kMax) {
           if (e.args.size() < 2) return false;
           for (const auto& arg : e.args) {
             if (!arg || !no_throw(*arg)) return false;
@@ -127,7 +127,7 @@ struct Rewriter {
           }
           return true;
         }
-        if (e.name == "abs" && e.args.size() == 1 && e.args[0]) {
+        if (e.builtin == Builtin::kAbs && e.args.size() == 1 && e.args[0]) {
           const AbsVal* f = fact(*e.args[0]);
           return f && f->is_num() && no_throw(*e.args[0]) &&
                  (!f->is_int() || f->interval().lo > -kSafeInt);

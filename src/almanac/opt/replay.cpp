@@ -1,6 +1,7 @@
 #include "almanac/opt/replay.h"
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -37,20 +38,21 @@ class MiniSeed : public SeedHost {
            std::vector<std::string>& transcript)
       : m_(m),
         transcript_(transcript),
-        current_state_(m.initial_state),
+        utilities_(m),
         interp_(m, this) {
+    set_state(m.initial_state);
     for (const auto* v : m_.vars) {
       auto ext = externals.find(v->name);
       if (ext != externals.end() && v->external) {
-        env_.define(v->name, ext->second);
+        env_.define(v->sym, ext->second);
         continue;
       }
       if (v->init) {
-        env_.define(v->name, interp_.eval(*v->init, env_));  // may throw
+        env_.define(v->sym, interp_.eval(*v->init, env_));  // may throw
       } else if (v->trigger) {
-        env_.define(v->name, Value(TriggerSpec{}));
+        env_.define(v->sym, Value(TriggerSpec{}));
       } else {
-        env_.define(v->name, Interpreter::default_value(v->type));
+        env_.define(v->sym, Interpreter::default_value(v->type));
       }
     }
   }
@@ -64,33 +66,15 @@ class MiniSeed : public SeedHost {
   }
 
   void on_poll(const std::string& var, const StatsValue& stats) {
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events) {
-      if (ev->kind != EventDecl::TriggerKind::kVarTrigger || ev->var != var)
-        continue;
-      run_handler(ev->actions, ev->as_var, Value(stats));
-    }
+    fire_var_trigger(find_symbol(var), Value(stats));
   }
 
   void on_probe(const std::string& var, const net::PacketHeader& packet) {
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events) {
-      if (ev->kind != EventDecl::TriggerKind::kVarTrigger || ev->var != var)
-        continue;
-      run_handler(ev->actions, ev->as_var, Value(packet));
-    }
+    fire_var_trigger(find_symbol(var), Value(packet));
   }
 
   void on_time(const std::string& var) {
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events) {
-      if (ev->kind != EventDecl::TriggerKind::kVarTrigger || ev->var != var)
-        continue;
-      run_handler(ev->actions, ev->as_var, Value(now_ms()));
-    }
+    fire_var_trigger(find_symbol(var), Value(now_ms()));
   }
 
   void on_message(const Value& payload, bool from_harvester,
@@ -104,7 +88,7 @@ class MiniSeed : public SeedHost {
           ev->from_machine != from_machine)
         continue;
       if (!Interpreter::matches_type(payload, ev->recv_type)) continue;
-      run_handler(ev->actions, ev->recv_var, payload);
+      run_handler(ev->actions, ev->recv_sym, payload);
       return;  // first matching handler consumes the message
     }
   }
@@ -115,17 +99,14 @@ class MiniSeed : public SeedHost {
     if (!st) return;
     for (const auto* ev : st->events)
       if (ev->kind == EventDecl::TriggerKind::kRealloc)
-        run_handler(ev->actions, "", Value(resources));
+        run_handler(ev->actions, kNoSymbol, Value(resources));
   }
 
   double utility(const ResourcesValue& r) const {
     const CompiledState* st = state();
-    if (!st || !st->util) return default_utility().utility(r);
-    try {
-      return analyze_utility(*st->util).utility(r);
-    } catch (const CompileError&) {
-      return 0;
-    }
+    if (!st) return default_utility().utility(r);
+    const UtilityAnalysis* ua = utilities_.find(m_, *st);
+    return ua ? ua->utility(r) : 0;
   }
 
   void set_now_ms(std::int64_t now) { now_ms_ = now; }
@@ -170,12 +151,27 @@ class MiniSeed : public SeedHost {
   }
 
  private:
-  const CompiledState* state() const { return m_.state(current_state_); }
+  const CompiledState* state() const { return state_; }
+  void set_state(const std::string& name) {
+    current_state_ = name;
+    state_ = m_.state(current_state_);
+  }
 
-  void run_handler(const std::vector<ActionPtr>& actions,
-                   const std::string& bind_name, const Value& bind_value) {
+  void fire_var_trigger(Symbol var, const Value& bound) {
+    const CompiledState* st = state();
+    if (!st) return;
+    for (const auto* ev : st->events) {
+      if (ev->kind != EventDecl::TriggerKind::kVarTrigger ||
+          ev->var_sym != var)
+        continue;
+      run_handler(ev->actions, ev->as_sym, bound);
+    }
+  }
+
+  void run_handler(const std::vector<ActionPtr>& actions, Symbol bind,
+                   const Value& bind_value) {
     Env scope(&env_);
-    if (!bind_name.empty()) scope.define(bind_name, bind_value);
+    if (bind != kNoSymbol) scope.define(bind, bind_value);
     try {
       interp_.exec(actions, scope);
     } catch (const EvalError& e) {
@@ -188,7 +184,7 @@ class MiniSeed : public SeedHost {
     const CompiledState* st = state();
     if (!st) return;
     for (const auto* ev : st->events)
-      if (ev->kind == kind) run_handler(ev->actions, "", Value());
+      if (ev->kind == kind) run_handler(ev->actions, kNoSymbol, Value());
   }
 
   void apply_pending_transit() {
@@ -212,7 +208,7 @@ class MiniSeed : public SeedHost {
               transcript_.push_back(std::string("exit-err ") + e.what());
             }
           }
-      current_state_ = target;
+      set_state(target);
       transcript_.push_back("enter " + target);
       st = state();
       if (st)
@@ -231,8 +227,10 @@ class MiniSeed : public SeedHost {
 
   const CompiledMachine& m_;
   std::vector<std::string>& transcript_;
+  StateUtilities utilities_;
   Env env_;
   std::string current_state_;
+  const CompiledState* state_ = nullptr;
   std::optional<std::string> pending_transit_;
   Interpreter interp_;
   std::unordered_map<std::string, asic::TcamRule> store_;
@@ -327,7 +325,190 @@ net::PacketHeader random_packet(util::Rng& rng) {
   return p;
 }
 
+// One event of the seeded script, drawn once and delivered to every
+// machine under comparison.
+struct ScriptEvent {
+  enum Kind { kPoll, kProbe, kTime, kRecv, kRealloc } kind = kRealloc;
+  std::string var;
+  StatsValue stats;
+  net::PacketHeader packet;
+  Value payload;
+  bool from_harvester = false;
+  std::string from;
+  ResourcesValue resources;
+};
+
+// Advances `now` and draws the next event the machine can actually
+// receive; realloc is always deliverable.
+ScriptEvent draw_event(util::Rng& rng, const EventMenu& menu,
+                       const ReplayOptions& opts, std::int64_t& now) {
+  now += rng.next_int(1, 500);
+  ScriptEvent ev;
+  for (int tries = 0; tries < 8; ++tries) {
+    switch (rng.next_below(5)) {
+      case 0:
+        if (menu.poll_vars.empty()) continue;
+        ev.kind = ScriptEvent::kPoll;
+        break;
+      case 1:
+        if (menu.probe_vars.empty()) continue;
+        ev.kind = ScriptEvent::kProbe;
+        break;
+      case 2:
+        if (menu.time_vars.empty()) continue;
+        ev.kind = ScriptEvent::kTime;
+        break;
+      case 3:
+        if (menu.recvs.empty()) continue;
+        ev.kind = ScriptEvent::kRecv;
+        break;
+      default:
+        ev.kind = ScriptEvent::kRealloc;
+        break;
+    }
+    break;
+  }
+  switch (ev.kind) {
+    case ScriptEvent::kPoll:
+      ev.var = menu.poll_vars[rng.next_below(menu.poll_vars.size())];
+      ev.stats = random_stats(rng, opts.max_ifaces);
+      break;
+    case ScriptEvent::kProbe:
+      ev.var = menu.probe_vars[rng.next_below(menu.probe_vars.size())];
+      ev.packet = random_packet(rng);
+      break;
+    case ScriptEvent::kTime:
+      ev.var = menu.time_vars[rng.next_below(menu.time_vars.size())];
+      break;
+    case ScriptEvent::kRecv: {
+      const auto& spec = menu.recvs[rng.next_below(menu.recvs.size())];
+      ev.from_harvester = spec.from_harvester;
+      ev.from = spec.from_machine.empty()
+                    ? "peer" + std::to_string(rng.next_below(3))
+                    : spec.from_machine;
+      ev.payload = random_payload(rng);
+      break;
+    }
+    case ScriptEvent::kRealloc:
+      ev.resources.vCPU = rng.next_double(0.5, 8.0);
+      ev.resources.RAM = rng.next_double(64, 4096);
+      ev.resources.TCAM = static_cast<double>(rng.next_int(8, 1024));
+      ev.resources.PCIe = rng.next_double(0.5, 8.0);
+      break;
+  }
+  return ev;
+}
+
+void deliver(MiniSeed& s, const ScriptEvent& ev) {
+  switch (ev.kind) {
+    case ScriptEvent::kPoll:
+      s.on_poll(ev.var, ev.stats);
+      break;
+    case ScriptEvent::kProbe:
+      s.on_probe(ev.var, ev.packet);
+      break;
+    case ScriptEvent::kTime:
+      s.on_time(ev.var);
+      break;
+    case ScriptEvent::kRecv:
+      s.on_message(ev.payload, ev.from_harvester, ev.from);
+      break;
+    case ScriptEvent::kRealloc:
+      s.on_realloc(ev.resources);
+      break;
+  }
+}
+
+// Exact rendering for transcripts: floats keep every digit (Value's own
+// %g rendering rounds to six), lists recurse.
+std::string exact_string(const Value& v) {
+  if (v.is_float()) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v.as_float());
+    return buf;
+  }
+  if (v.is_list()) {
+    std::string s = "[";
+    for (const auto& e : *v.as_list()) {
+      if (s.size() > 1) s += ", ";
+      s += exact_string(e);
+    }
+    return s + "]";
+  }
+  return v.to_string();
+}
+
+// Long renderings (grown lists) are pinned by length and a stable hash so
+// a transcript stays readable without losing any difference.
+std::string register_line(const std::string& name, const Value& v) {
+  std::string s = exact_string(v);
+  if (s.size() > 160) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "<%zu chars, hash %016llx>", s.size(),
+                  static_cast<unsigned long long>(util::stable_hash64(s, 0)));
+    s = buf;
+  }
+  return "reg " + name + " = " + s;
+}
+
 }  // namespace
+
+std::vector<std::string> replay_transcript(const CompiledMachine& m,
+                                           const ReplayOptions& opts) {
+  std::vector<std::string> out;
+  EventMenu menu = build_menu(m);
+  for (int stream = 0; stream < opts.streams; ++stream) {
+    out.push_back("stream " + std::to_string(stream));
+    util::Rng rng(util::derive_seed(opts.seed, stream));
+    std::vector<std::string> t;
+    std::unique_ptr<MiniSeed> s;
+    try {
+      s = std::make_unique<MiniSeed>(m, opts.externals, t);
+    } catch (const EvalError& e) {
+      out.push_back(std::string("ctor-err ") + e.what());
+      continue;
+    }
+    // Registers are printed when their rendering changes, in name order.
+    std::map<std::string, std::string> last;
+    std::string last_util;
+    auto settle = [&](const std::string& label) {
+      out.push_back(label + " -> " + s->current_state());
+      for (auto& line : t) out.push_back("  " + line);
+      t.clear();
+      const auto own = s->env().own();
+      const std::map<std::string, Value> regs(own.begin(), own.end());
+      for (const auto& [name, val] : regs) {
+        std::string line = register_line(name, val);
+        auto& prev = last[name];
+        if (prev != line) out.push_back("  " + line);
+        prev = std::move(line);
+      }
+      ResourcesValue probe{1, 256, 64, 2};
+      char buf[48];
+      std::snprintf(buf, sizeof buf, "  util %.17g", s->utility(probe));
+      if (last_util != buf) out.push_back(buf);
+      last_util = buf;
+    };
+    settle("ctor");
+    s->start();
+    settle("start");
+    std::int64_t now = 1000;
+    for (int i = 0; i < opts.events_per_stream; ++i) {
+      ScriptEvent ev = draw_event(rng, menu, opts, now);
+      s->set_now_ms(now);
+      deliver(*s, ev);
+      static const char* kNames[] = {"poll", "probe", "time", "recv",
+                                     "realloc"};
+      std::string label = "t=" + std::to_string(now) + " " + kNames[ev.kind];
+      if (!ev.var.empty()) label += " " + ev.var;
+      if (ev.kind == ScriptEvent::kRecv)
+        label += std::string(ev.from_harvester ? " harvester " : " ") +
+                 ev.from + " " + exact_string(ev.payload);
+      settle(label);
+    }
+  }
+  return out;
+}
 
 ReplayReport replay_compare(const CompiledMachine& original,
                             const CompiledMachine& optimized,
@@ -430,81 +611,11 @@ ReplayReport replay_compare(const CompiledMachine& original,
 
     std::int64_t now = 1000;
     for (int i = 0; i < opts.events_per_stream; ++i) {
-      now += rng.next_int(1, 500);
+      ScriptEvent ev = draw_event(rng, menu, opts, now);
       a->set_now_ms(now);
       b->set_now_ms(now);
-      // Pick an event kind the machine can actually receive; realloc is
-      // always deliverable.
-      enum { kPoll, kProbe, kTime, kRecv, kRealloc } kind = kRealloc;
-      for (int tries = 0; tries < 8; ++tries) {
-        switch (rng.next_below(5)) {
-          case 0:
-            if (menu.poll_vars.empty()) continue;
-            kind = kPoll;
-            break;
-          case 1:
-            if (menu.probe_vars.empty()) continue;
-            kind = kProbe;
-            break;
-          case 2:
-            if (menu.time_vars.empty()) continue;
-            kind = kTime;
-            break;
-          case 3:
-            if (menu.recvs.empty()) continue;
-            kind = kRecv;
-            break;
-          default:
-            kind = kRealloc;
-            break;
-        }
-        break;
-      }
-      switch (kind) {
-        case kPoll: {
-          const std::string& var =
-              menu.poll_vars[rng.next_below(menu.poll_vars.size())];
-          StatsValue sv = random_stats(rng, opts.max_ifaces);
-          a->on_poll(var, sv);
-          b->on_poll(var, sv);
-          break;
-        }
-        case kProbe: {
-          const std::string& var =
-              menu.probe_vars[rng.next_below(menu.probe_vars.size())];
-          net::PacketHeader p = random_packet(rng);
-          a->on_probe(var, p);
-          b->on_probe(var, p);
-          break;
-        }
-        case kTime: {
-          const std::string& var =
-              menu.time_vars[rng.next_below(menu.time_vars.size())];
-          a->on_time(var);
-          b->on_time(var);
-          break;
-        }
-        case kRecv: {
-          const auto& spec = menu.recvs[rng.next_below(menu.recvs.size())];
-          std::string from = spec.from_machine.empty()
-                                 ? "peer" + std::to_string(rng.next_below(3))
-                                 : spec.from_machine;
-          Value payload = random_payload(rng);
-          a->on_message(payload, spec.from_harvester, from);
-          b->on_message(payload, spec.from_harvester, from);
-          break;
-        }
-        case kRealloc: {
-          ResourcesValue r;
-          r.vCPU = rng.next_double(0.5, 8.0);
-          r.RAM = rng.next_double(64, 4096);
-          r.TCAM = static_cast<double>(rng.next_int(8, 1024));
-          r.PCIe = rng.next_double(0.5, 8.0);
-          a->on_realloc(r);
-          b->on_realloc(r);
-          break;
-        }
-      }
+      deliver(*a, ev);
+      deliver(*b, ev);
       ++rep.events_run;
       if (!compare("event")) return rep;
       check_intervals(*a, "event");

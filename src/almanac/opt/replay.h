@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "almanac/compile.h"
 #include "almanac/value.h"
@@ -48,5 +49,14 @@ ReplayReport replay_compare(const CompiledMachine& original,
                             const CompiledMachine& optimized,
                             const verify::absint::Analysis& analysis,
                             const ReplayOptions& opts = {});
+
+// Drives one machine through the seeded event script replay_compare uses
+// (same options, same draws) and returns its transcript: every host effect
+// and handler error, then after each event the resident state, every
+// register whose rendering changed (floats with all 17 digits) and the
+// utility at a fixed allocation when it changed. The seed VM's byte-for-byte contract is a
+// diff of these transcripts (tests/vm_corpus).
+std::vector<std::string> replay_transcript(const CompiledMachine& machine,
+                                           const ReplayOptions& opts = {});
 
 }  // namespace farm::almanac::opt

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "almanac/lexer.h"
+#include "almanac/resolve.h"
 
 namespace farm::almanac {
 
@@ -590,11 +591,14 @@ class Parser {
 }  // namespace
 
 Program parse_program(std::string_view source) {
+  Program program;
   try {
-    return Parser(source).run();
+    program = Parser(source).run();
   } catch (const LexError& le) {
     throw ParseError(le.message, le.loc);
   }
+  resolve_program(program);
+  return program;
 }
 
 }  // namespace farm::almanac

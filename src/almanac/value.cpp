@@ -4,14 +4,6 @@
 
 namespace farm::almanac {
 
-double ResourcesValue::field(const std::string& name) const {
-  if (name == "vCPU") return vCPU;
-  if (name == "RAM") return RAM;
-  if (name == "TCAM") return TCAM;
-  if (name == "PCIe") return PCIe;
-  FARM_CHECK_MSG(false, ("unknown resource field: " + name).c_str());
-}
-
 const std::vector<std::string>& ResourcesValue::field_names() {
   static const std::vector<std::string> names{"vCPU", "RAM", "TCAM", "PCIe"};
   return names;
@@ -80,7 +72,7 @@ const ResourcesValue& Value::as_resources() const {
 
 const asic::TcamRule& Value::as_rule() const {
   FARM_CHECK_MSG(is_rule(), "expected rule value");
-  return std::get<asic::TcamRule>(v_);
+  return *std::get<RuleValue>(v_);
 }
 
 const SketchValue& Value::as_sketch() const {

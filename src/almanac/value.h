@@ -69,7 +69,6 @@ struct ResourcesValue {
   double PCIe = 0;
   friend bool operator==(const ResourcesValue&, const ResourcesValue&) = default;
 
-  double field(const std::string& name) const;
   static const std::vector<std::string>& field_names();
 };
 
@@ -87,12 +86,18 @@ struct SketchValue {
   }
 };
 
+// TCAM rules are immutable once they are values, so a rule is held by
+// reference: a rule is the largest alternative by far, and every value the
+// seed VM copies, every environment binding and every AST literal would
+// otherwise be rule-sized.
+using RuleValue = std::shared_ptr<const asic::TcamRule>;
+
 class Value {
  public:
   using Storage =
       std::variant<std::monostate, bool, std::int64_t, double, std::string,
                    ListValue, net::Filter, net::PacketHeader, ActionValue,
-                   TriggerSpec, StatsValue, ResourcesValue, asic::TcamRule,
+                   TriggerSpec, StatsValue, ResourcesValue, RuleValue,
                    SketchValue>;
 
   Value() = default;
@@ -108,7 +113,8 @@ class Value {
   Value(TriggerSpec v) : v_(std::move(v)) {}
   Value(StatsValue v) : v_(std::move(v)) {}
   Value(ResourcesValue v) : v_(v) {}
-  Value(asic::TcamRule v) : v_(std::move(v)) {}
+  Value(asic::TcamRule v)
+      : v_(std::make_shared<const asic::TcamRule>(std::move(v))) {}
   Value(ListValue v) : v_(std::move(v)) {}
   Value(SketchValue v) : v_(std::move(v)) {}
   static Value empty_list() {
@@ -132,7 +138,7 @@ class Value {
   bool is_resources() const {
     return std::holds_alternative<ResourcesValue>(v_);
   }
-  bool is_rule() const { return std::holds_alternative<asic::TcamRule>(v_); }
+  bool is_rule() const { return std::holds_alternative<RuleValue>(v_); }
   bool is_sketch() const { return std::holds_alternative<SketchValue>(v_); }
 
   bool as_bool() const;

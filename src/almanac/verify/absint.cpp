@@ -268,7 +268,9 @@ bool expr_is_pure(const Expr& e) {
     case Expr::Kind::kFieldAccess:
       break;
     case Expr::Kind::kCall:
-      if (e.name != "min" && e.name != "max" && e.name != "abs") return false;
+      if (e.builtin != Builtin::kMin && e.builtin != Builtin::kMax &&
+          e.builtin != Builtin::kAbs)
+        return false;
       break;
     default:
       return false;
@@ -279,6 +281,25 @@ bool expr_is_pure(const Expr& e) {
 }
 
 namespace {
+
+// Builtins that mutate the container or sketch passed as their first
+// argument in place.
+bool mutates_first_arg(Builtin b) {
+  switch (b) {
+    case Builtin::kListAppend:
+    case Builtin::kListSet:
+    case Builtin::kListClear:
+    case Builtin::kCmsAdd:
+    case Builtin::kCmsClear:
+    case Builtin::kMgAdd:
+    case Builtin::kMgClear:
+    case Builtin::kHllAdd:
+    case Builtin::kHllClear:
+      return true;
+    default:
+      return false;
+  }
+}
 
 // --- Abstract environments --------------------------------------------------
 
@@ -899,12 +920,7 @@ class Engine {
           assigned.insert(x.target);
         walk_action_exprs(x, [&](const Expr& e) {
           if (e.kind != Expr::Kind::kCall) return;
-          if ((e.name == "list_append" || e.name == "list_set" ||
-               e.name == "list_clear" || e.name == "cms_add" ||
-               e.name == "cms_clear" || e.name == "mg_add" ||
-               e.name == "mg_clear" || e.name == "hll_add" ||
-               e.name == "hll_clear") &&
-              !e.args.empty() && e.args[0] &&
+          if (mutates_first_arg(e.builtin) && !e.args.empty() && e.args[0] &&
               e.args[0]->kind == Expr::Kind::kVarRef)
             mutated.insert(e.args[0]->name);
         });
@@ -925,8 +941,11 @@ class Engine {
           return false;
         break;
       case Expr::Kind::kCall:
-        if (e.name == "min" || e.name == "max" || e.name == "abs") break;
-        if ((e.name == "stats_size" || e.name == "list_size") &&
+        if (e.builtin == Builtin::kMin || e.builtin == Builtin::kMax ||
+            e.builtin == Builtin::kAbs)
+          break;
+        if ((e.builtin == Builtin::kStatsSize ||
+             e.builtin == Builtin::kListSize) &&
             e.args.size() == 1 && e.args[0] &&
             e.args[0]->kind == Expr::Kind::kVarRef) {
           const std::string& v = e.args[0]->name;
@@ -1201,106 +1220,90 @@ class Engine {
   }
 
   AbsVal eval_call(const Expr& e, AEnv& env) {
-    const std::string& n = e.name;
     std::vector<AbsVal> args;
     args.reserve(e.args.size());
-    auto eval_args = [&] {
-      for (const auto& a : e.args)
-        args.push_back(a ? eval(*a, env) : AbsVal::top());
-    };
+    for (const auto& a : e.args)
+      args.push_back(a ? eval(*a, env) : AbsVal::top());
 
-    if (n == "min" || n == "max") {
-      eval_args();
-      if (args.empty()) return AbsVal::top();
-      bool all_num = true;
-      bool all_int = true;
-      Interval acc{n == "min" ? kInf : -kInf, n == "min" ? kInf : -kInf};
-      bool first = true;
-      for (const auto& a : args) {
-        if (!a.is_num()) {
-          all_num = false;
-          break;
+    // Builtins shadow user functions: every id the interpreter dispatches
+    // is handled here, the rest of the library as Top.
+    switch (e.builtin) {
+      case Builtin::kMin:
+      case Builtin::kMax: {
+        const bool is_min = e.builtin == Builtin::kMin;
+        if (args.empty()) return AbsVal::top();
+        bool all_num = true;
+        bool all_int = true;
+        Interval acc{is_min ? kInf : -kInf, is_min ? kInf : -kInf};
+        bool first = true;
+        for (const auto& a : args) {
+          if (!a.is_num()) {
+            all_num = false;
+            break;
+          }
+          all_int = all_int && a.is_int();
+          if (first) {
+            acc = a.interval();
+            first = false;
+          } else if (is_min) {
+            acc = {std::min(acc.lo, a.interval().lo),
+                   std::min(acc.hi, a.interval().hi)};
+          } else {
+            acc = {std::max(acc.lo, a.interval().lo),
+                   std::max(acc.hi, a.interval().hi)};
+          }
         }
-        all_int = all_int && a.is_int();
-        if (first) {
-          acc = a.interval();
-          first = false;
-        } else if (n == "min") {
-          acc = {std::min(acc.lo, a.interval().lo),
-                 std::min(acc.hi, a.interval().hi)};
-        } else {
-          acc = {std::max(acc.lo, a.interval().lo),
-                 std::max(acc.hi, a.interval().hi)};
-        }
+        if (!all_num) return AbsVal::top();
+        return all_int ? AbsVal::num_int(acc.lo, acc.hi)
+                       : AbsVal::num_float(acc.lo, acc.hi);
       }
-      if (!all_num) return AbsVal::top();
-      return all_int ? AbsVal::num_int(acc.lo, acc.hi)
-                     : AbsVal::num_float(acc.lo, acc.hi);
-    }
-    if (n == "abs") {
-      eval_args();
-      if (args.size() != 1 || !args[0].is_num()) return AbsVal::top();
-      const Interval& a = args[0].interval();
-      Interval r = a.lo >= 0   ? a
-                   : a.hi <= 0 ? Interval{-a.hi, -a.lo}
-                               : Interval{0, std::max(-a.lo, a.hi)};
-      return args[0].is_int() ? AbsVal::num_int(r.lo, std::min(r.hi, kI64Hi))
-                              : AbsVal::num_float(r.lo, r.hi);
-    }
-    if (n == "stats_size") {
-      eval_args();
-      return AbsVal::num_int(0, static_cast<double>(opts_.max_ifaces));
-    }
-    if (n == "list_size") {
-      eval_args();
-      return AbsVal::num_int(0, kInf);
-    }
-    if (n == "list_index_of") {
-      eval_args();
-      return AbsVal::num_int(-1, kInf);
-    }
-    if (n == "stats_iface" || n == "stats_bytes" || n == "stats_packets" ||
-        n == "now_ms" || n == "switch_id" || n == "to_long" ||
-        n == "cms_estimate" || n == "mg_estimate" || n == "hll_estimate") {
-      eval_args();
-      if (n == "to_long" && args.size() == 1 && args[0].is_num()) {
+      case Builtin::kAbs: {
+        if (args.size() != 1 || !args[0].is_num()) return AbsVal::top();
         const Interval& a = args[0].interval();
-        double lo = std::isfinite(a.lo) ? std::trunc(a.lo) : a.lo;
-        double hi = std::isfinite(a.hi) ? std::trunc(a.hi) : a.hi;
-        return AbsVal::num_int(std::max(lo, kI64Lo), std::min(hi, kI64Hi));
+        Interval r = a.lo >= 0   ? a
+                     : a.hi <= 0 ? Interval{-a.hi, -a.lo}
+                                 : Interval{0, std::max(-a.lo, a.hi)};
+        return args[0].is_int()
+                   ? AbsVal::num_int(r.lo, std::min(r.hi, kI64Hi))
+                   : AbsVal::num_float(r.lo, r.hi);
       }
-      return AbsVal::num_int(-kInf, kInf);
-    }
-    if (n == "to_float") {
-      eval_args();
-      if (args.size() == 1 && args[0].is_num())
-        return AbsVal::num_float(args[0].interval().lo,
-                                 args[0].interval().hi);
-      return AbsVal::num_float(-kInf, kInf);
-    }
-    // Remaining builtins (host calls, containers, sketches, stringifiers)
-    // and unknown names: Top. Builtins shadow user functions, so check the
-    // user-function table only for names the interpreter does not claim.
-    static const std::set<std::string> kOtherBuiltins = {
-        "res",          "addTCAMRule", "removeTCAMRule", "getTCAMRule",
-        "exec",         "action_drop", "action_rate_limit", "action_count",
-        "action_mirror", "list_new",   "is_list_empty",  "list_get",
-        "list_append",  "list_clear",  "list_contains",  "list_set",
-        "stats_subject", "cms_new",    "cms_add",        "cms_clear",
-        "mg_new",       "mg_add",      "mg_hitters",     "mg_clear",
-        "hll_new",      "hll_add",     "hll_clear",      "is_nil",
-        "to_str",       "iface_filter", "log"};
-    if (kOtherBuiltins.count(n)) {
-      eval_args();
-      return AbsVal::top();
+      case Builtin::kStatsSize:
+        return AbsVal::num_int(0, static_cast<double>(opts_.max_ifaces));
+      case Builtin::kListSize:
+        return AbsVal::num_int(0, kInf);
+      case Builtin::kListIndexOf:
+        return AbsVal::num_int(-1, kInf);
+      case Builtin::kToLong:
+        if (args.size() == 1 && args[0].is_num()) {
+          const Interval& a = args[0].interval();
+          double lo = std::isfinite(a.lo) ? std::trunc(a.lo) : a.lo;
+          double hi = std::isfinite(a.hi) ? std::trunc(a.hi) : a.hi;
+          return AbsVal::num_int(std::max(lo, kI64Lo), std::min(hi, kI64Hi));
+        }
+        return AbsVal::num_int(-kInf, kInf);
+      case Builtin::kStatsIface:
+      case Builtin::kStatsBytes:
+      case Builtin::kStatsPackets:
+      case Builtin::kNowMs:
+      case Builtin::kSwitchId:
+      case Builtin::kCmsEstimate:
+      case Builtin::kMgEstimate:
+      case Builtin::kHllEstimate:
+        return AbsVal::num_int(-kInf, kInf);
+      case Builtin::kToFloat:
+        if (args.size() == 1 && args[0].is_num())
+          return AbsVal::num_float(args[0].interval().lo,
+                                   args[0].interval().hi);
+        return AbsVal::num_float(-kInf, kInf);
+      case Builtin::kNone:
+        break;
+      default:
+        // Host calls, containers, sketches, stringifiers.
+        return AbsVal::top();
     }
 
-    const FuncDecl* f = m_.program->function(n);
-    if (!f) {
-      eval_args();
-      return AbsVal::top();  // unknown call: runtime error
-    }
-    eval_args();
+    const FuncDecl* f = m_.program->function(e.sym);
+    if (!f) return AbsVal::top();  // unknown call: runtime error
     if (inline_depth_ >= opts_.max_inline_depth || inlining_.count(f)) {
       env.havoc_machine();
       return AbsVal::top();

@@ -24,9 +24,11 @@ struct TcamWeigher {
     double w = 0;
     walk_expr(e, [&](const Expr& x) {
       if (x.kind != Expr::Kind::kCall) return;
-      if (x.name == "addTCAMRule") {
+      if (x.builtin == Builtin::kAddTCAMRule) {
         w += depth_mult;
-      } else if (const FuncDecl* f = program.function(x.name)) {
+      } else if (x.builtin != Builtin::kNone) {
+        // Other builtins install nothing (and shadow user functions).
+      } else if (const FuncDecl* f = program.function(x.sym)) {
         // Recursion guard: a cycle contributes no additional installs.
         if (in_progress.insert(x.name).second) {
           w += weigh(f->body, depth_mult);

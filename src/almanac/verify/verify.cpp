@@ -10,17 +10,17 @@ Env build_machine_env(const CompiledMachine& m, const VerifyOptions& opts) {
   for (const auto* v : m.vars) {
     auto it = opts.externals.find(v->name);
     if (v->external && it != opts.externals.end()) {
-      env.define(v->name, it->second);
+      env.define(v->sym, it->second);
       continue;
     }
     if (v->init && !v->trigger) {
       try {
-        env.define(v->name, interp.eval(*v->init, env));
+        env.define(v->sym, interp.eval(*v->init, env));
       } catch (const EvalError&) {
-        env.define(v->name, Interpreter::default_value(v->type));
+        env.define(v->sym, Interpreter::default_value(v->type));
       }
     } else if (!v->trigger) {
-      env.define(v->name, Interpreter::default_value(v->type));
+      env.define(v->sym, Interpreter::default_value(v->type));
     }
   }
   return env;
@@ -33,8 +33,9 @@ void collect_functions(const Program& program,
                        std::unordered_set<std::string>& out) {
   walk_actions(actions, [&](const Action& a) {
     walk_action_exprs(a, [&](const Expr& e) {
-      if (e.kind != Expr::Kind::kCall) return;
-      const FuncDecl* f = program.function(e.name);
+      // Builtins shadow user functions of the same name.
+      if (e.kind != Expr::Kind::kCall || e.builtin != Builtin::kNone) return;
+      const FuncDecl* f = program.function(e.sym);
       if (!f || out.count(e.name)) return;
       out.insert(e.name);
       collect_functions(program, f->body, out);

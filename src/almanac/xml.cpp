@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "almanac/resolve.h"
+
 namespace farm::almanac {
 
 namespace {
@@ -662,6 +664,7 @@ Program from_xml(const std::string& xml) {
       p.machines.push_back(std::move(m));
     }
   }
+  resolve_program(p);
   return p;
 }
 

@@ -222,18 +222,18 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
     for (const auto* v : cm.vars) {
       auto it = spec.externals.find(v->name);
       if (v->external && it != spec.externals.end()) {
-        env.define(v->name, it->second);
+        env.define(v->sym, it->second);
         externals.emplace(v->name, it->second);
         continue;
       }
       if (v->init && !v->trigger) {
         try {
-          env.define(v->name, interp.eval(*v->init, env));
+          env.define(v->sym, interp.eval(*v->init, env));
         } catch (const almanac::EvalError&) {
-          env.define(v->name, almanac::Interpreter::default_value(v->type));
+          env.define(v->sym, almanac::Interpreter::default_value(v->type));
         }
       } else if (!v->trigger) {
-        env.define(v->name, almanac::Interpreter::default_value(v->type));
+        env.define(v->sym, almanac::Interpreter::default_value(v->type));
       }
     }
 
@@ -241,9 +241,8 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
     auto resolved = almanac::resolve_places(cm, env, controller_);
     // Step 2: utility analysis of the initial state.
     const almanac::CompiledState* init = cm.state(cm.initial_state);
-    almanac::UtilityAnalysis ua = init && init->util
-                                      ? almanac::analyze_utility(*init->util)
-                                      : almanac::default_utility();
+    almanac::UtilityAnalysis ua = init ? image->utilities.get(cm, *init)
+                                       : almanac::default_utility();
     // Step 3: polling analysis. The optimizer's polling resource is the
     // PCIe budget in Mbps, so the poll-rate polynomial 1/ival (polls/s) is
     // scaled by the per-poll transfer size: entries × 64 B × 8 bit.
@@ -317,12 +316,9 @@ placement::PlacementProblem Seeder::build_problem() const {
         if (Seed* seed = soil->find(ps.id)) {
           p.current_alloc[sm.id] = soil->allocation(*seed);
           const auto* st = ps.image->machine.state(seed->current_state());
-          if (st && st->util) {
-            try {
-              sm.variants = almanac::analyze_utility(*st->util).variants;
-            } catch (const almanac::CompileError&) {
-            }
-          }
+          if (st && st->util)
+            if (const auto* ua = ps.image->utility(*st))
+              sm.variants = ua->variants;
         }
       }
       p.seeds.push_back(std::move(sm));

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "almanac/analysis.h"
 #include "almanac/compile.h"
 #include "almanac/parser.h"
 
@@ -15,6 +16,15 @@ namespace farm::runtime {
 struct MachineImage {
   std::shared_ptr<const almanac::Program> program;
   almanac::CompiledMachine machine;
+  // Each state's utility analysis, computed once when the image is built.
+  almanac::StateUtilities utilities;
+
+  // Utility analysis of one of this machine's states; nullptr when its
+  // util callback failed analysis.
+  const almanac::UtilityAnalysis* utility(
+      const almanac::CompiledState& st) const {
+    return utilities.find(machine, st);
+  }
 
   static std::shared_ptr<MachineImage> from_source(
       const std::string& source, const std::string& machine_name) {
@@ -22,6 +32,7 @@ struct MachineImage {
     image->program =
         std::make_shared<almanac::Program>(almanac::parse_program(source));
     image->machine = almanac::compile_machine(*image->program, machine_name);
+    image->utilities = almanac::StateUtilities(image->machine);
     return image;
   }
   static std::shared_ptr<MachineImage> from_program(
@@ -30,6 +41,7 @@ struct MachineImage {
     auto image = std::make_shared<MachineImage>();
     image->machine = almanac::compile_machine(*program, machine_name);
     image->program = std::move(program);
+    image->utilities = almanac::StateUtilities(image->machine);
     return image;
   }
 };

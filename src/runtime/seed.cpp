@@ -19,8 +19,8 @@ Seed::Seed(SeedId id, std::shared_ptr<MachineImage> image, Soil& soil,
     : id_(std::move(id)),
       image_(std::move(image)),
       soil_(soil),
-      current_state_(image_->machine.initial_state),
       interp_(image_->machine, this) {
+  set_state(image_->machine.initial_state);
   tel_ = &soil_.engine().telemetry();
   m_handlers_ = tel_->counter("seed.handlers");
   m_transits_ = tel_->counter("seed.transits");
@@ -30,15 +30,15 @@ Seed::Seed(SeedId id, std::shared_ptr<MachineImage> image, Soil& soil,
     if (ext != externals.end()) {
       FARM_CHECK_MSG(v->external,
                      "binding supplied for non-external variable");
-      env_.define(v->name, ext->second);
+      env_.define(v->sym, ext->second);
       continue;
     }
     if (v->init) {
-      env_.define(v->name, interp_.eval(*v->init, env_));
+      env_.define(v->sym, interp_.eval(*v->init, env_));
     } else if (v->trigger) {
-      env_.define(v->name, Value(almanac::TriggerSpec{}));
+      env_.define(v->sym, Value(almanac::TriggerSpec{}));
     } else {
-      env_.define(v->name, almanac::Interpreter::default_value(v->type));
+      env_.define(v->sym, almanac::Interpreter::default_value(v->type));
     }
   }
 }
@@ -56,11 +56,12 @@ void Seed::start() {
 void Seed::start_from(const SeedSnapshot& snapshot) {
   FARM_CHECK(!started_);
   started_ = true;
-  current_state_ = snapshot.current_state;
+  set_state(snapshot.current_state);
   FARM_CHECK_MSG(state() != nullptr, "snapshot references unknown state");
   for (const auto& [name, v] : snapshot.machine_vars) {
     // Only known machine variables are restored.
-    if (image_->machine.var(name)) env_.define(name, v);
+    if (const almanac::VarDecl* vd = image_->machine.var(name))
+      env_.define(vd->sym, v);
   }
   // Migration resumes execution without re-running enter handlers — the
   // seed continues exactly where it left off (§V-B).
@@ -80,9 +81,9 @@ SeedSnapshot Seed::snapshot() const {
 }
 
 void Seed::run_handler(const std::vector<almanac::ActionPtr>& actions,
-                       const std::string& bind_name, const Value& bind_value) {
+                       almanac::Symbol bind, const Value& bind_value) {
   Env scope(&env_);
-  if (!bind_name.empty()) scope.define(bind_name, bind_value);
+  if (bind != almanac::kNoSymbol) scope.define(bind, bind_value);
   tel_->count(m_handlers_);  // fleet-hot: keep it off the event ring
   try {
     interp_.exec(actions, scope);
@@ -96,7 +97,7 @@ void Seed::fire_simple(almanac::EventDecl::TriggerKind kind) {
   const almanac::CompiledState* st = state();
   if (!st) return;
   for (const auto* ev : st->events)
-    if (ev->kind == kind) run_handler(ev->actions, "", Value());
+    if (ev->kind == kind) run_handler(ev->actions, almanac::kNoSymbol, Value());
 }
 
 void Seed::apply_pending_transit() {
@@ -121,7 +122,7 @@ void Seed::apply_pending_transit() {
             FARM_LOG(kWarn) << id_.to_string() << ": exit error: " << e.what();
           }
         }
-    current_state_ = target;
+    set_state(target);
     tel_->add(m_transits_);
     // enter handlers of the new state (may request further transits —
     // handled by the loop).
@@ -142,40 +143,40 @@ void Seed::apply_pending_transit() {
   transit_depth_ = 0;
 }
 
-void Seed::on_poll(const std::string& var, const StatsValue& stats) {
+void Seed::fire_var_trigger(almanac::Symbol var, const Value& bound) {
   if (!started_) return;
   const almanac::CompiledState* st = state();
   if (!st) return;
   for (const auto* ev : st->events) {
     if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger ||
-        ev->var != var)
+        ev->var_sym != var)
       continue;
-    run_handler(ev->actions, ev->as_var, Value(stats));
+    run_handler(ev->actions, ev->as_sym, bound);
   }
+}
+
+void Seed::on_poll(almanac::Symbol var, const StatsValue& stats) {
+  fire_var_trigger(var, Value(stats));
+}
+
+void Seed::on_probe(almanac::Symbol var, const net::PacketHeader& packet) {
+  fire_var_trigger(var, Value(packet));
+}
+
+void Seed::on_time(almanac::Symbol var) {
+  fire_var_trigger(var, Value(now_ms()));
+}
+
+void Seed::on_poll(const std::string& var, const StatsValue& stats) {
+  on_poll(almanac::find_symbol(var), stats);
 }
 
 void Seed::on_probe(const std::string& var, const net::PacketHeader& packet) {
-  if (!started_) return;
-  const almanac::CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events) {
-    if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger ||
-        ev->var != var)
-      continue;
-    run_handler(ev->actions, ev->as_var, Value(packet));
-  }
+  on_probe(almanac::find_symbol(var), packet);
 }
 
 void Seed::on_time(const std::string& var) {
-  if (!started_) return;
-  const almanac::CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events) {
-    if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger ||
-        ev->var != var)
-      continue;
-    run_handler(ev->actions, ev->as_var, Value(now_ms()));
-  }
+  on_time(almanac::find_symbol(var));
 }
 
 void Seed::on_message(const Value& payload, bool from_harvester,
@@ -192,7 +193,7 @@ void Seed::on_message(const Value& payload, bool from_harvester,
       continue;
     // Pattern matching: the payload type must match the declared formal.
     if (!almanac::Interpreter::matches_type(payload, ev->recv_type)) continue;
-    run_handler(ev->actions, ev->recv_var, payload);
+    run_handler(ev->actions, ev->recv_sym, payload);
     return;  // first matching handler consumes the message
   }
 }
@@ -203,7 +204,7 @@ void Seed::on_realloc(const ResourcesValue& resources) {
   if (!st) return;
   for (const auto* ev : st->events)
     if (ev->kind == almanac::EventDecl::TriggerKind::kRealloc)
-      run_handler(ev->actions, "", Value(resources));
+      run_handler(ev->actions, almanac::kNoSymbol, Value(resources));
 }
 
 std::vector<Seed::ActiveTrigger> Seed::active_triggers() const {
@@ -212,12 +213,13 @@ std::vector<Seed::ActiveTrigger> Seed::active_triggers() const {
   if (!st) return out;
   for (const auto* ev : st->events) {
     if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger) continue;
-    const almanac::VarDecl* vd = image_->machine.var(ev->var);
+    const almanac::VarDecl* vd = image_->machine.var(ev->var_sym);
     if (!vd || !vd->trigger) continue;
-    const Value* val = env_.find(ev->var);
+    const Value* val = env_.find(ev->var_sym);
     if (!val) continue;
     ActiveTrigger t;
     t.var = ev->var;
+    t.sym = ev->var_sym;
     t.type = *vd->trigger;
     if (val->is_trigger()) {
       t.spec = val->as_trigger();
@@ -235,12 +237,9 @@ std::vector<Seed::ActiveTrigger> Seed::active_triggers() const {
 
 double Seed::utility(const ResourcesValue& r) const {
   const almanac::CompiledState* st = state();
-  if (!st || !st->util) return almanac::default_utility().utility(r);
-  try {
-    return almanac::analyze_utility(*st->util).utility(r);
-  } catch (const almanac::CompileError&) {
-    return 0;
-  }
+  if (!st) return almanac::default_utility().utility(r);
+  const almanac::UtilityAnalysis* ua = image_->utility(*st);
+  return ua ? ua->utility(r) : 0;
 }
 
 // --- SeedHost ---------------------------------------------------------------

@@ -86,6 +86,11 @@ class Seed : public almanac::SeedHost {
   SeedSnapshot snapshot() const;
 
   // --- Event delivery (called by the soil) --------------------------------
+  // Trigger events name their variable by symbol (ActiveTrigger::sym); the
+  // string forms look the symbol up first.
+  void on_poll(almanac::Symbol var, const StatsValue& stats);
+  void on_probe(almanac::Symbol var, const net::PacketHeader& packet);
+  void on_time(almanac::Symbol var);
   void on_poll(const std::string& var, const StatsValue& stats);
   void on_probe(const std::string& var, const net::PacketHeader& packet);
   void on_time(const std::string& var);
@@ -98,6 +103,7 @@ class Seed : public almanac::SeedHost {
   // their current specs — the soil polls exactly these.
   struct ActiveTrigger {
     std::string var;
+    almanac::Symbol sym = almanac::kNoSymbol;  // interned `var`
     almanac::TriggerType type;
     almanac::TriggerSpec spec;
   };
@@ -126,12 +132,16 @@ class Seed : public almanac::SeedHost {
   // Runs an event's actions in a fresh scope (with optional binding), then
   // applies any deferred transition.
   void run_handler(const std::vector<almanac::ActionPtr>& actions,
-                   const std::string& bind_name, const Value& bind_value);
+                   almanac::Symbol bind, const Value& bind_value);
+  // Runs every handler of the current state triggered by variable `var`.
+  void fire_var_trigger(almanac::Symbol var, const Value& bound);
   void apply_pending_transit();
   void fire_simple(almanac::EventDecl::TriggerKind kind);
-  const almanac::CompiledState* state() const {
-    return image_->machine.state(current_state_);
+  void set_state(const std::string& name) {
+    current_state_ = name;
+    state_ = image_->machine.state(current_state_);
   }
+  const almanac::CompiledState* state() const { return state_; }
 
   SeedId id_;
   std::shared_ptr<MachineImage> image_;
@@ -145,6 +155,9 @@ class Seed : public almanac::SeedHost {
   telemetry::MetricId m_transits_ = telemetry::kInvalidMetric;
   Env env_;  // machine-level environment
   std::string current_state_;
+  // The compiled state named current_state_ (nullptr if none); kept in
+  // step by set_state.
+  const almanac::CompiledState* state_ = nullptr;
   std::optional<std::string> pending_transit_;
   almanac::Interpreter interp_;
   bool started_ = false;

@@ -299,7 +299,7 @@ void Soil::refresh_triggers(Seed& seed) {
 void Soil::register_trigger(Seed& seed, const Seed::ActiveTrigger& trig) {
   auto reg = std::make_unique<Registration>();
   reg->seed = &seed;
-  reg->var = trig.var;
+  reg->var = trig.sym;
   reg->type = trig.type;
   reg->ival_seconds = trig.spec.ival_seconds;
   reg->what = trig.spec.what;
@@ -335,7 +335,7 @@ void Soil::register_trigger(Seed& seed, const Seed::ActiveTrigger& trig) {
             raw->reservoir_seen = 0;
             // The sample crosses the PCIe bus before the seed sees it.
             SeedId id = raw->seed->id();
-            std::string var = raw->var;
+            almanac::Symbol var = raw->var;
             chassis_.pcie().request(1, [this, id, var, sample] {
               engine_.schedule_after(
                   comm_latency(), [this, id, var, sample] {
@@ -366,7 +366,7 @@ void Soil::schedule_poll(Registration& reg) {
     raw->next_due = due + sim::Duration::from_seconds(raw->ival_seconds);
     if (raw->type == almanac::TriggerType::kTime) {
       SeedId id = raw->seed->id();
-      std::string var = raw->var;
+      almanac::Symbol var = raw->var;
       engine_.schedule_after(comm_latency(), [this, id, var, due] {
         if (Seed* s = find(id))
           chassis_.cpu().submit(cpu_task_of(*s), sim::cost::kPollWakeupCpu,
@@ -385,7 +385,7 @@ void Soil::schedule_poll(Registration& reg) {
       int entries = subject_entry_count(raw->what);
       net::Filter what = raw->what;
       SeedId id = raw->seed->id();
-      std::string var = raw->var;
+      almanac::Symbol var = raw->var;
       pcie_poll_request(
           entries,
           [this, what, id, var, due] {
@@ -443,7 +443,7 @@ void Soil::fire_poll_group(const PollGroup& group) {
   const net::Filter what = members.back()->what;
 
   // Which members are due by now (group fires at min period)?
-  std::vector<std::pair<SeedId, std::string>> due_targets;
+  std::vector<std::pair<SeedId, almanac::Symbol>> due_targets;
   std::vector<sim::TimePoint> due_times;
   sim::TimePoint now = engine_.now();
   for (Registration* m : members) {
@@ -488,7 +488,7 @@ void Soil::deliver_poll(Registration& reg, const StatsValue& stats,
   deliver_poll_to(reg.seed->id(), reg.var, stats, due);
 }
 
-void Soil::deliver_poll_to(const SeedId& id, const std::string& var,
+void Soil::deliver_poll_to(const SeedId& id, almanac::Symbol var,
                            const StatsValue& stats, sim::TimePoint due) {
   sim::TimePoint available = engine_.now();
   std::size_t n_entries = stats.entries->size();

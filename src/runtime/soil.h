@@ -132,7 +132,7 @@ class Soil {
  private:
   struct Registration {
     Seed* seed;
-    std::string var;
+    almanac::Symbol var;  // the trigger variable
     almanac::TriggerType type;
     double ival_seconds;
     net::Filter what;
@@ -160,7 +160,7 @@ class Soil {
   void fire_poll_group(const PollGroup& group);
   void deliver_poll(Registration& reg, const StatsValue& stats,
                     sim::TimePoint due);
-  void deliver_poll_to(const SeedId& id, const std::string& var,
+  void deliver_poll_to(const SeedId& id, almanac::Symbol var,
                        const StatsValue& stats, sim::TimePoint due);
   // PCIe poll transfer with timeout-and-retry: a lost completion (injected
   // message loss, or a crashed chassis) re-issues the request up to

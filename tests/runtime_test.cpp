@@ -314,6 +314,33 @@ TEST(SoilTest, TimeTriggerFiresPeriodically) {
   EXPECT_LE(fired, 11);
 }
 
+TEST(SoilTest, MistypedBuiltinArgumentIsAHandlerErrorNotAnAbort) {
+  // list_size of a long used to hit a FARM_CHECK in Value::as_list and
+  // abort the process; it is an EvalError the soil logs, and the seed keeps
+  // reacting to its timer.
+  Rig rig;
+  auto src = R"(
+    machine M {
+      place all;
+      time tick = 0.01;
+      long fired = 0;
+      long n = 3;
+      state s {
+        when (tick as t) do {
+          fired = fired + 1;
+          n = list_size(n);
+        }
+      }
+    }
+  )";
+  auto image = MachineImage::from_source(src, "M");
+  auto& soil = rig.soil_of(rig.sl.leaf_switches[0]);
+  Seed* seed = soil.deploy({"t", "M", 0}, image, {});
+  rig.engine.run_for(Duration::ms(105));
+  EXPECT_GE(seed->snapshot().machine_vars.at("fired").as_int(), 9);
+  EXPECT_EQ(seed->snapshot().machine_vars.at("n").as_int(), 3);
+}
+
 TEST(SoilTest, ProbeDeliversOnlyMatchingPackets) {
   Rig rig;
   auto src = R"(
