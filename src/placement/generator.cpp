@@ -78,4 +78,29 @@ PlacementProblem generate_problem(const GeneratorSpec& spec) {
   return p;
 }
 
+DensityLeaf flowmon_leaf(int n) {
+  DensityLeaf out;
+  out.sw.node = 0;
+  out.sw.capacity = ResourcesValue{4, 8192, 2048.0 + n, 8};
+  UtilityVariant v;
+  Poly floor = Poly::var(almanac::kVCpu);
+  floor.c0 = -0.01;
+  v.constraints.push_back(floor);
+  v.util_min_terms.push_back(Poly::var(almanac::kVCpu));
+  const double mbps_per_poll = 16 * 8.0 / 1e6;
+  for (int i = 0; i < n; ++i) {
+    SeedModel s;
+    s.id = "fm" + std::to_string(i) + "/FlowMon#0";
+    s.task = "fm" + std::to_string(i);
+    s.candidates = {out.sw.node};
+    s.variants = {v};
+    s.polls.push_back(
+        {"dstIP 10.0." + std::to_string(i / 250) + "." +
+             std::to_string(i % 250 + 1) + "&",
+         Poly::constant(1 / 0.01).scaled(mbps_per_poll)});
+    out.seeds.push_back(std::move(s));
+  }
+  return out;
+}
+
 }  // namespace farm::placement

@@ -24,4 +24,14 @@ struct GeneratorSpec {
 
 PlacementProblem generate_problem(const GeneratorSpec& spec);
 
+// One leaf holding `n` seeds shaped as the seeder models the fig5 /
+// leaf_density FlowMon machine: vCPU ≥ 0.01, utility vCPU, and one poll of
+// a /32 of its own every 10 ms (one 16-byte counter entry, in Mbps). The
+// leaf is the default chassis with a 2048 + n monitoring TCAM bank.
+struct DensityLeaf {
+  SwitchModel sw;
+  std::vector<SeedModel> seeds;  // variant 0 is the only one
+};
+DensityLeaf flowmon_leaf(int n);
+
 }  // namespace farm::placement

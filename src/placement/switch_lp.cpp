@@ -28,12 +28,8 @@ ResourcesValue from_values(const std::vector<double>& v, std::size_t base) {
 
 }  // namespace
 
-// Deliberately not given its own profiler scope: this 4-variable LP runs
-// once per (seed, variant) — tens of thousands of times per solve — and
-// the "simplex" scope inside solve_lp already owns the frame; a wrapper
-// here doubles the hot-path scope cost for no extra flamegraph depth.
-std::optional<ResourcesValue> minimal_allocation(const UtilityVariant& variant,
-                                                 const ResourcesValue& cap) {
+lp::Model minimal_allocation_lp(const UtilityVariant& variant,
+                                const ResourcesValue& cap) {
   lp::Model m;
   m.set_maximize(false);
   for (std::size_t d = 0; d < almanac::kNumResources; ++d)
@@ -45,7 +41,16 @@ std::optional<ResourcesValue> minimal_allocation(const UtilityVariant& variant,
         terms.push_back({static_cast<lp::VarId>(d), c.coeff[d]});
     m.add_constraint("c", std::move(terms), lp::Sense::kGe, -c.c0);
   }
-  auto sol = lp::solve_lp(m);
+  return m;
+}
+
+// Deliberately not given its own profiler scope: this 4-variable LP runs
+// once per (seed, variant) — tens of thousands of times per solve — and
+// the "simplex" scope inside solve_lp already owns the frame; a wrapper
+// here doubles the hot-path scope cost for no extra flamegraph depth.
+std::optional<ResourcesValue> minimal_allocation(const UtilityVariant& variant,
+                                                 const ResourcesValue& cap) {
+  auto sol = lp::solve_lp(minimal_allocation_lp(variant, cap));
   if (sol.status != lp::SolveStatus::kOptimal) return std::nullopt;
   return from_values(sol.values, 0);
 }
@@ -57,19 +62,19 @@ double min_utility(const UtilityVariant& variant) {
   return variant.utility(*alloc);
 }
 
-std::optional<SwitchLpResult> redistribute_on_switch(
-    const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
-    const ResourcesValue& reserved, std::uint64_t* lp_solves) {
-  if (seeds.empty()) return SwitchLpResult{};
-  FARM_PROF_SCOPE("switch_lp");
-
-  lp::Model m;
+SwitchLp build_switch_lp(const SwitchModel& sw,
+                         const std::vector<PinnedSeed>& seeds,
+                         const ResourcesValue& reserved) {
+  SwitchLp out;
+  lp::Model& m = out.model;
   m.set_maximize(true);
   const std::size_t R = almanac::kNumResources;
 
   // Variables: res(s,d) then t(s) then pollres(p).
-  std::vector<lp::VarId> res_base(seeds.size());
-  std::vector<lp::VarId> t_var(seeds.size());
+  std::vector<lp::VarId>& res_base = out.res_base;
+  std::vector<lp::VarId>& t_var = out.t_var;
+  res_base.resize(seeds.size());
+  t_var.resize(seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     res_base[i] = static_cast<lp::VarId>(m.num_vars());
     for (std::size_t d = 0; d < R; ++d)
@@ -154,8 +159,16 @@ std::optional<SwitchLpResult> redistribute_on_switch(
   }
   // Each seed's assumed PCIe share is also individually capped (C3 box
   // bound set at variable creation).
+  return out;
+}
 
-  auto sol = lp::solve_lp(m);
+std::optional<SwitchLpResult> redistribute_on_switch(
+    const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
+    const ResourcesValue& reserved, std::uint64_t* lp_solves) {
+  if (seeds.empty()) return SwitchLpResult{};
+  FARM_PROF_SCOPE("switch_lp");
+  const SwitchLp built = build_switch_lp(sw, seeds, reserved);
+  auto sol = lp::solve_lp(built.model);
   if (lp_solves) ++*lp_solves;
   if (sol.status != lp::SolveStatus::kOptimal) return std::nullopt;
 
@@ -163,8 +176,8 @@ std::optional<SwitchLpResult> redistribute_on_switch(
   out.utility = sol.objective;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     out.allocs.push_back(
-        from_values(sol.values, static_cast<std::size_t>(res_base[i])));
-    out.utilities.push_back(sol.value(t_var[i]));
+        from_values(sol.values, static_cast<std::size_t>(built.res_base[i])));
+    out.utilities.push_back(sol.value(built.t_var[i]));
   }
   return out;
 }

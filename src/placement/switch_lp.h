@@ -24,6 +24,17 @@ struct SwitchLpResult {
   std::vector<double> utilities;
 };
 
+// The LP `redistribute_on_switch` solves, with the variables its result is
+// read back from.
+struct SwitchLp {
+  lp::Model model;
+  std::vector<lp::VarId> res_base;  // first of the kNumResources res(s,·)
+  std::vector<lp::VarId> t_var;     // epigraph utility t(s)
+};
+SwitchLp build_switch_lp(const SwitchModel& sw,
+                         const std::vector<PinnedSeed>& seeds,
+                         const ResourcesValue& reserved);
+
 // Maximizes total utility of the pinned seeds on `sw` under (C2)-(C4),
 // with `reserved` capacity already consumed (migration residue).
 // Returns nullopt if the LP is infeasible.
@@ -34,6 +45,8 @@ std::optional<SwitchLpResult> redistribute_on_switch(
 // Component-wise minimal feasible allocation of a variant within `cap`
 // (an LP minimizing total allocation subject to the variant constraints).
 // nullopt = infeasible within the capacity box.
+lp::Model minimal_allocation_lp(const UtilityVariant& variant,
+                                const ResourcesValue& cap);
 std::optional<ResourcesValue> minimal_allocation(const UtilityVariant& variant,
                                                  const ResourcesValue& cap);
 
