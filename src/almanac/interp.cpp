@@ -513,10 +513,14 @@ Value Interpreter::call_function(const Expr& e, Args args, Env& env) {
                         std::to_string(f->params.size()) + " arguments, got " +
                         std::to_string(args.size()),
                     e.loc);
-  if (++call_depth_ > kMaxCallDepth) {
-    --call_depth_;
+  // One level deeper until the call ends, however it ends.
+  struct Depth {
+    int& depth;
+    explicit Depth(int& d) : depth(++d) {}
+    ~Depth() { --depth; }
+  } depth(call_depth_);
+  if (call_depth_ > kMaxCallDepth)
     throw EvalError("call depth exceeded in " + name, e.loc);
-  }
   // Function scope chains onto the machine root so helpers can read
   // machine-level configuration.
   Env* root_most = &env;
@@ -526,7 +530,6 @@ Value Interpreter::call_function(const Expr& e, Args args, Env& env) {
   for (std::size_t i = 0; i < args.size(); ++i)
     scope.define(f->params[i].sym, std::move(args[i]));
   ExecResult r = exec(f->body, scope);
-  --call_depth_;
   return r.returned ? std::move(r.return_value) : Value();
 }
 

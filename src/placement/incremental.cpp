@@ -1,9 +1,6 @@
 #include "placement/incremental.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
 #include "telemetry/prof.h"
@@ -232,15 +229,6 @@ void IncrementalPlacer::invalidate() {
 
 PlacementResult IncrementalPlacer::resolve(const PlacementProblem& problem) {
   FARM_PROF_SCOPE("placement/incremental");
-  const bool timing = std::getenv("FARM_INCR_TIMING") != nullptr;
-  auto tick = std::chrono::steady_clock::now();
-  auto lap = [&](const char* what) {
-    if (!timing) return;
-    auto now = std::chrono::steady_clock::now();
-    std::fprintf(stderr, "[incr] %-12s %7.3fs\n", what,
-                 std::chrono::duration<double>(now - tick).count());
-    tick = now;
-  };
   stats_ = IncrementalStats{};
   stats_.total_switches = problem.switches.size();
 
@@ -248,13 +236,16 @@ PlacementResult IncrementalPlacer::resolve(const PlacementProblem& problem) {
   if (!have_snapshot_) {
     stats_.fallback_reason = "cold";
   } else {
-    auto dirty = dirty_switches(problem);
-    lap("diff");
-    stats_.dirty_switches = dirty.size();
+    std::size_t dirty = 0;
+    {
+      FARM_PROF_SCOPE("diff");
+      dirty = dirty_switches(problem).size();
+    }
+    stats_.dirty_switches = dirty;
     const double fraction =
         problem.switches.empty()
             ? 1.0
-            : static_cast<double>(dirty.size()) /
+            : static_cast<double>(dirty) /
                   static_cast<double>(problem.switches.size());
     if (fraction > opt_.max_delta_fraction) {
       stats_.fell_back = true;
@@ -273,15 +264,22 @@ PlacementResult IncrementalPlacer::resolve(const PlacementProblem& problem) {
   PlacementResult result;
   if (delta) {
     FARM_PROF_COUNT("placement.incremental.delta_solves", 1);
-    memo_.prepare(problem);
-    lap("prepare");
-    result = solve_heuristic(problem, opts);
-    lap("solve");
+    {
+      FARM_PROF_SCOPE("prepare");
+      memo_.prepare(problem);
+    }
+    {
+      FARM_PROF_SCOPE("solve");
+      result = solve_heuristic(problem, opts);
+    }
     memo_.finish(opt_.keep_generations);
     stats_.incremental = true;
     if (opt_.validate_splice) {
-      auto errors = validate_placement(problem, result);
-      lap("validate");
+      std::vector<std::string> errors;
+      {
+        FARM_PROF_SCOPE("validate");
+        errors = validate_placement(problem, result);
+      }
       if (!errors.empty()) {
         // Cannot happen with an intact cache (memo values are pure); a
         // corrupted entry is repaired by solving from scratch.
@@ -299,15 +297,23 @@ PlacementResult IncrementalPlacer::resolve(const PlacementProblem& problem) {
   if (!delta) {
     FARM_PROF_COUNT("placement.incremental.full_solves", 1);
     memo_.clear();
-    memo_.prepare(problem);
-    result = solve_heuristic(problem, opts);
+    {
+      FARM_PROF_SCOPE("prepare");
+      memo_.prepare(problem);
+    }
+    {
+      FARM_PROF_SCOPE("solve");
+      result = solve_heuristic(problem, opts);
+    }
     memo_.finish(opt_.keep_generations);
   }
 
   stats_.cache_hits = memo_.hits() - hits0;
   stats_.cache_misses = memo_.misses() - misses0;
-  snapshot(problem, result);
-  lap("snapshot");
+  {
+    FARM_PROF_SCOPE("snapshot");
+    snapshot(problem, result);
+  }
   return result;
 }
 

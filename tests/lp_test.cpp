@@ -1,9 +1,12 @@
 // Tests for the simplex LP and branch-and-bound MILP solvers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "lp/basis_inverse.h"
 #include "lp/milp.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
@@ -451,6 +454,76 @@ TEST(SimplexTest, CellBudgetRejectsIdenticallyAcrossAlgorithms) {
   // Exactly one flip: rejected below the threshold, optimal above it.
   EXPECT_EQ(transitions, 1);
   EXPECT_EQ(prev_sparse, SolveStatus::kOptimal);
+}
+
+// BasisInverse skips the entries its per-row lists say are zero. After
+// every pivot each row's list must still hold all of its nonzeros, the
+// column lists must be its exact transpose, FTRAN's support must cover
+// w's nonzeros, and every entry must equal (bit for bit when nonzero) what
+// the full dense sweeps compute: divide the whole pivot row, subtract a
+// multiple of it from every row with |w_i| ≥ drop.
+TEST(BasisInverseTest, RowListsStaySupersetsOfNonzerosAcrossPivots) {
+  constexpr std::size_t m = 24;
+  constexpr double kDrop = 1e-9;
+  util::Rng rng(77);
+  BasisInverse inv;
+  inv.reset(m);
+  std::vector<double> dense(m * m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) dense[i * m + i] = 1.0;
+  std::vector<double> w(m);
+  std::vector<std::uint32_t> support;
+  int pivots = 0;
+  for (int step = 0; step < 200 && pivots < 60; ++step) {
+    // A sparse entering column: 1–3 nonzeros on ascending rows.
+    std::vector<std::uint32_t> rows;
+    std::vector<double> vals;
+    for (std::uint32_t r = 0; r < m; ++r)
+      if (rng.next_bool(0.08)) {
+        rows.push_back(r);
+        vals.push_back(rng.next_double(-3, 3));
+      }
+    if (rows.empty()) continue;
+    inv.ftran(rows.data(), vals.data(), rows.size(), w.data(), support);
+    for (std::size_t i = 0; i < m; ++i) {
+      double ref = 0;
+      for (std::size_t k = 0; k < rows.size(); ++k)
+        ref += dense[i * m + rows[k]] * vals[k];
+      ASSERT_EQ(w[i], ref) << "ftran row " << i;
+      if (w[i] != 0) {
+        ASSERT_NE(std::find(support.begin(), support.end(), i), support.end())
+            << "ftran support misses row " << i;
+      }
+    }
+    // Pivot on the largest |w_i| so the basis stays well conditioned.
+    std::size_t leave = 0;
+    for (std::size_t i = 1; i < m; ++i)
+      if (std::abs(w[i]) > std::abs(w[leave])) leave = i;
+    if (std::abs(w[leave]) < 0.5) continue;
+    inv.pivot(w.data(), support, leave, kDrop);
+    ++pivots;
+    double* prow = dense.data() + leave * m;
+    for (std::size_t c = 0; c < m; ++c) prow[c] /= w[leave];
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i == leave || std::abs(w[i]) < kDrop) continue;
+      for (std::size_t c = 0; c < m; ++c)
+        dense[i * m + c] -= w[i] * prow[c];
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto& idx = inv.row_index(i);
+      for (std::size_t c = 0; c < m; ++c) {
+        const double got = inv.row(i)[c];
+        ASSERT_EQ(got, dense[i * m + c]) << "entry " << i << "," << c;
+        const bool listed = std::find(idx.begin(), idx.end(), c) != idx.end();
+        if (got != 0) {
+          ASSERT_TRUE(listed) << "row " << i << " lost column " << c;
+        }
+        const auto& col = inv.col_index(c);
+        ASSERT_EQ(listed, std::find(col.begin(), col.end(), i) != col.end())
+            << "column list of " << c << " is not the transpose";
+      }
+    }
+  }
+  EXPECT_GE(pivots, 30) << "too few pivots to exercise list growth";
 }
 
 }  // namespace

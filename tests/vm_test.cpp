@@ -237,6 +237,50 @@ TEST(VmBuiltinArgs, SeedKeepsRunningAfterAMistypedCall) {
   EXPECT_NE(all.find("reg ticks = 2"), std::string::npos) << all;
 }
 
+// A user function whose body throws still returns its call level: 200
+// failing calls from a timer handler leave the seed able to call functions
+// (the 129th used to hit "call depth exceeded").
+TEST(VmCallDepth, ThrowingCallsDoNotLeakDepth) {
+  almanac::Program program = almanac::parse_program(R"(
+    func long bad(long v) { return v / 0; }
+    func long ok(long v) { return v + 1; }
+    machine M {
+      place all;
+      time t = 1.0;
+      long n = 3;
+      long ticks = 0;
+      state s {
+        when (t as x) do {
+          ticks = ticks + 1;
+          if (ticks <= 200) then { n = bad(n); }
+          n = ok(n);
+        }
+      }
+    })");
+  almanac::CompiledMachine cm = almanac::compile_machine(program, "M");
+  NullHost host;
+  almanac::Interpreter interp(cm, &host);
+  almanac::Env env;
+  for (const auto* v : cm.vars) env.define(v->sym, interp.eval(*v->init, env));
+  const auto& actions = cm.states.front().events.front()->actions;
+  for (int i = 1; i <= 201; ++i) {
+    almanac::Env scope(&env);
+    std::string err;
+    try {
+      interp.exec(actions, scope);
+    } catch (const almanac::EvalError& e) {
+      err = e.what();
+    }
+    if (i <= 200) {
+      ASSERT_NE(err.find("division by zero"), std::string::npos)
+          << "call " << i << ": " << err;
+    } else {
+      ASSERT_EQ(err, "") << "ok(n) after 200 failed calls";
+    }
+  }
+  EXPECT_EQ(env.find("n")->as_int(), 4);
+}
+
 // --- One builtin table ----------------------------------------------------------
 // The interpreter, Winnow and the static estimators all key on the ids of
 // almanac/builtins.h; these checks pin the table to what actually runs.
